@@ -1,0 +1,6 @@
+"""The repository benchmark: workloads, answer checks and a per-layer trace.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; ``BENCHMARK.json`` lists the
+workloads and metrics.
+"""
