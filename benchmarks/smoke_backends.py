@@ -1,44 +1,20 @@
-"""Small-N smoke run of the sort- and window-scaling benchmarks on both backends.
+"""Small-N smoke run of every backend comparison: agreement gates plus speedups.
 
 Used by CI to catch two regressions fast, without the full benchmark suite:
 
-* **backend divergence** — the columnar backend must produce bit-identical
-  results to the Python backend (and both must match the definitional
-  rewrite) on the sort, top-k, and window paths — including following-only
-  frames, which exercise the mirrored-order reduction — and on the full
-  multi-operator ``select -> join -> project -> window``,
-  ``select -> join -> groupby -> window``, and (multi-window)
-  ``select -> join -> window -> select -> window`` pipelines, where the
-  columnar plan stays in columnar layout between stages — the multi-window
-  plan additionally pins the chained plan against the per-stage round-trip
-  execution of the same kernels,
-* **performance regressions** — the columnar backend should stay faster
-  than the Python backend at the smoke size (the full
-  ``bench_fig14_sort_scaling.py`` / ``bench_fig15_window_scaling.py`` runs
-  measure the real ratios).  Wall-clock comparisons are noisy on shared CI
-  runners, so a slowdown only *warns* by default; set
-  ``REPRO_SMOKE_STRICT_PERF=1`` to make it fatal (e.g. for local regression
-  hunting).
-
-With ``REPRO_WORKERS`` set above 1, the smoke additionally runs the
-multi-window, group-by, and equi-join plans on the partitioned parallel
-executor and asserts the sharded results are bit-identical to the
-``workers=1`` run (divergence is always fatal).  The sharded-vs-serial
-timing is reported with the machine's core count; it only warns — and even
-strict mode ignores it when the host has fewer cores than workers, since
-an oversubscribed pool cannot demonstrate a speedup.
-
-The serving smoke drives the synthetic query/delta mix through all three
-serving modes (cached views patched per delta, cached views rebuilt per
-delta, from-scratch plan per query) and asserts the answered relations are
-bit-identical; in strict mode patched deltas must additionally beat view
-rebuilds (>= 3x from ``rows=4096`` up).
-
-The SQL smoke compiles the scaling query through the full rule pipeline and
-asserts the optimized columnar plan is bit-identical to both the unoptimized
-literal lowering and the row-at-a-time Python execution, and that its joins
-avoid the quadratic grid kernel; in strict mode the optimized plan must beat
-the unoptimized one (>= 5x from ``rows=1024`` up).
+* **divergence and gate failures** — always fatal.  The sort, top-k and
+  window paths (including following-only frames, which exercise the
+  mirrored-order reduction) must agree across the python backend, the
+  columnar backend and the definitional rewrite.  Every plan workload of
+  :mod:`repro.workloads.registry` runs through its declared gates: each
+  contender agrees with the reference row for row, the count and kernel
+  gates hold, and — with ``REPRO_WORKERS`` above 1 — the sharded run of
+  the workload's parallel contender equals its ``workers=1`` run;
+* **performance regressions** — the columnar paths should stay faster than
+  their baselines at the smoke size, and each workload's declared speedup
+  floors should hold (the full benchmark suite measures the real ratios).
+  Wall-clock comparisons are noisy on shared CI runners, so a slowdown only
+  *warns* by default; set ``REPRO_SMOKE_STRICT_PERF=1`` to make it fatal.
 
 Run directly: ``PYTHONPATH=src python benchmarks/smoke_backends.py [rows]``.
 Exits non-zero on divergence (always) or slowdown (strict mode only).
@@ -56,11 +32,13 @@ from repro.ranking.topk import sort as au_sort, topk as au_topk
 from repro.window.native import window_native
 from repro.window.semantics import window_rewrite
 from repro.window.spec import WindowSpec
+from repro.workloads.registry import WORKLOADS, run_workload
 from repro.workloads.synthetic import (
     SyntheticConfig,
     generate_sort_table,
     generate_window_table,
 )
+
 
 
 def best_of(fn, reps: int = 5) -> float:
@@ -70,6 +48,14 @@ def best_of(fn, reps: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best * 1000.0
+
+
+def checked_best_of(fn) -> tuple[object, float]:
+    """The output of one run plus the best-of-5 ms; paths over 100 ms run once."""
+    start = time.perf_counter()
+    output = fn()
+    ms = (time.perf_counter() - start) * 1000.0
+    return output, (min(ms, best_of(fn)) if ms < 100.0 else ms)
 
 
 def _report_speedup(
@@ -154,548 +140,39 @@ def smoke_window(rows: int) -> int:
     return failures
 
 
-def smoke_pipeline(rows: int) -> int:
-    from repro.workloads.pipeline import (
-        pipeline_inputs,
-        run_pipeline_columnar,
-        run_pipeline_python,
-    )
+def smoke_workloads(rows: int) -> int:
+    """Every plan workload of the registry: its gates, timings and speedup floors.
 
-    fact, dim, threshold = pipeline_inputs(rows)
-    columnar_fact = ColumnarAURelation.from_relation(fact)
-    columnar_dim = ColumnarAURelation.from_relation(dim)
-
-    failures = 0
-    python_result = run_pipeline_python(fact, dim, threshold)
-    columnar_result = run_pipeline_columnar(columnar_fact, columnar_dim, threshold)
-    if not (
-        python_result.schema == columnar_result.schema
-        and python_result._rows == columnar_result._rows
-    ):
-        print("FAIL: select->join->project->window pipeline backends diverge")
-        failures += 1
-
-    python_ms = best_of(lambda: run_pipeline_python(fact, dim, threshold))
-    columnar_ms = best_of(lambda: run_pipeline_columnar(columnar_fact, columnar_dim, threshold))
-    failures += _report_speedup("pipeline", rows, python_ms, columnar_ms)
-    return failures
-
-
-def smoke_groupby(rows: int) -> int:
-    from repro.workloads.pipeline import (
-        pipeline_inputs,
-        run_groupby_pipeline_columnar,
-        run_groupby_pipeline_python,
-    )
-
-    fact, dim, threshold = pipeline_inputs(rows)
-    columnar_fact = ColumnarAURelation.from_relation(fact)
-    columnar_dim = ColumnarAURelation.from_relation(dim)
-
-    failures = 0
-    python_result = run_groupby_pipeline_python(fact, dim, threshold)
-    columnar_result = run_groupby_pipeline_columnar(columnar_fact, columnar_dim, threshold)
-    if not (
-        python_result.schema == columnar_result.schema
-        and python_result._rows == columnar_result._rows
-    ):
-        print("FAIL: select->join->groupby->window pipeline backends diverge")
-        failures += 1
-
-    python_ms = best_of(lambda: run_groupby_pipeline_python(fact, dim, threshold))
-    columnar_ms = best_of(
-        lambda: run_groupby_pipeline_columnar(columnar_fact, columnar_dim, threshold)
-    )
-    failures += _report_speedup("groupby-pipeline", rows, python_ms, columnar_ms)
-    return failures
-
-
-def smoke_multiwindow(rows: int) -> int:
-    """The multi-window plan: chained-columnar vs per-stage round trips.
-
-    Asserts all three execution paths (python, per-stage ``backend="columnar"``
-    round trips, chained ``ColumnarPlan``) are bit-identical, and that the
-    chained plan — whose sort/window stages emit columnar output — beats the
-    path that re-materialises a row-major relation after every stage.  The
-    round-trip path starts from the row-major tables (its execution model is
-    row-major in and out of every stage); the chained plan runs over the
-    columnar-resident tables.
+    Gate failures (disagreement, count gates, sharded != serial) are always
+    fatal; a workload that fails one reports no timings.  Speedup floors
+    only warn unless ``REPRO_SMOKE_STRICT_PERF=1``.
     """
-    from repro.workloads.pipeline import (
-        multiwindow_inputs,
-        run_multiwindow_columnar,
-        run_multiwindow_python,
-        run_multiwindow_roundtrip_columnar,
-    )
-
-    fact, dim, threshold = multiwindow_inputs(rows)
-    columnar_fact = ColumnarAURelation.from_relation(fact)
-    columnar_dim = ColumnarAURelation.from_relation(dim)
-
+    strict = os.environ.get("REPRO_SMOKE_STRICT_PERF") == "1"
     failures = 0
-    python_result = run_multiwindow_python(fact, dim, threshold)
-    roundtrip_result = run_multiwindow_roundtrip_columnar(fact, dim, threshold)
-    chained_result = run_multiwindow_columnar(columnar_fact, columnar_dim, threshold)
-    if not (
-        python_result.schema == roundtrip_result.schema == chained_result.schema
-        and python_result._rows == roundtrip_result._rows == chained_result._rows
-    ):
-        print("FAIL: select->join->window->select->window paths diverge")
-        failures += 1
-
-    python_ms = best_of(lambda: run_multiwindow_python(fact, dim, threshold))
-    chained_ms = best_of(
-        lambda: run_multiwindow_columnar(columnar_fact, columnar_dim, threshold)
-    )
-    failures += _report_speedup("multiwindow", rows, python_ms, chained_ms)
-
-    roundtrip_ms = best_of(lambda: run_multiwindow_roundtrip_columnar(fact, dim, threshold))
-    failures += _report_speedup(
-        "multiwindow-roundtrip", rows, roundtrip_ms, chained_ms, baseline="roundtrip"
-    )
-    return failures
-
-
-def smoke_equijoin(rows: int) -> int:
-    from repro.workloads.pipeline import (
-        equijoin_inputs,
-        run_equijoin_columnar,
-        run_equijoin_python,
-    )
-
-    left, right = equijoin_inputs(rows)
-    columnar_left = ColumnarAURelation.from_relation(left)
-    columnar_right = ColumnarAURelation.from_relation(right)
-
-    failures = 0
-    python_result = run_equijoin_python(left, right)
-    grid_result = run_equijoin_columnar(columnar_left, columnar_right, method="grid")
-    fast_result = run_equijoin_columnar(columnar_left, columnar_right, method="searchsorted")
-    if not (
-        python_result.schema == grid_result.schema == fast_result.schema
-        and python_result._rows == grid_result._rows == fast_result._rows
-    ):
-        print("FAIL: equi-join python / grid / searchsorted kernels diverge")
-        failures += 1
-
-    python_ms = best_of(lambda: run_equijoin_python(left, right))
-    columnar_ms = best_of(
-        lambda: run_equijoin_columnar(columnar_left, columnar_right, method="searchsorted")
-    )
-    failures += _report_speedup("equijoin", rows, python_ms, columnar_ms)
-    return failures
-
-
-def smoke_rangejoin(rows: int) -> int:
-    """Both-sides-uncertain range join: sweep kernel vs the quadratic grid.
-
-    Three gates, at N = max(rows, 512) so the asymptotics are visible:
-
-    * **bit-identity** — python / grid / sweep / auto results must agree
-      (and, with ``REPRO_WORKERS > 1``, the sharded sweep must match the
-      serial one) — divergence is fatal;
-    * **candidate-pair ceiling** — the sweep must enumerate asymptotically
-      fewer candidate pairs than the grid's ``|L|·|R|`` (the workload's
-      interval overlaps are ``O(N)``), so a regression that silently
-      degrades to near-cross-product enumeration fails CI;
-    * **performance** — the sweep should beat the grid contender (warn-only
-      unless ``REPRO_SMOKE_STRICT_PERF=1``).
-    """
-    from repro.columnar import operators as col_ops
-    from repro.columnar.parallel import resolve_workers
-    from repro.workloads.pipeline import (
-        rangejoin_inputs,
-        run_rangejoin_columnar,
-        run_rangejoin_python,
-    )
-
-    size = max(rows, 512)
-    left, right = rangejoin_inputs(size)
-    columnar_left = ColumnarAURelation.from_relation(left)
-    columnar_right = ColumnarAURelation.from_relation(right)
-
-    failures = 0
-    python_result = run_rangejoin_python(left, right)
-    grid_result = run_rangejoin_columnar(columnar_left, columnar_right, method="grid")
-    sweep_result = run_rangejoin_columnar(columnar_left, columnar_right, method="sweep")
-    auto_result = run_rangejoin_columnar(columnar_left, columnar_right, method="auto")
-    if not (
-        python_result.schema
-        == grid_result.schema
-        == sweep_result.schema
-        == auto_result.schema
-        and python_result._rows
-        == grid_result._rows
-        == sweep_result._rows
-        == auto_result._rows
-    ):
-        print("FAIL: range-join python / grid / sweep / auto kernels diverge")
-        failures += 1
-
-    kernel = col_ops.planned_join_kernel(columnar_left, columnar_right, on=["k"])
-    if kernel != "sweep":
-        print(f"FAIL: method='auto' planned {kernel!r} for the range join, not 'sweep'")
-        failures += 1
-
-    candidates = col_ops.candidate_key_pairs(
-        [columnar_left.column("k")], [columnar_right.column("k")], kernels=("sweep",)
-    )
-    grid_pairs = len(columnar_left) * len(columnar_right)
-    sweep_pairs = len(candidates[0]) if candidates is not None else grid_pairs
-    print(f"rangejoin rows={size}: sweep candidates={sweep_pairs} grid={grid_pairs}")
-    if sweep_pairs * 8 >= grid_pairs:
-        print(
-            "FAIL: sweep kernel enumerated too many candidate pairs "
-            f"({sweep_pairs} vs grid {grid_pairs}) — near-cross-product enumeration"
-        )
-        failures += 1
-
-    workers = resolve_workers()
-    if workers > 1:
-        sharded = run_rangejoin_columnar(
-            columnar_left, columnar_right, method="sweep", workers=workers
-        )
-        if not _same_rows(sweep_result, sharded):
-            print(f"FAIL: rangejoin sharded (workers={workers}) diverges from workers=1")
-            failures += 1
-
-    grid_ms = best_of(
-        lambda: run_rangejoin_columnar(columnar_left, columnar_right, method="grid")
-    )
-    sweep_ms = best_of(
-        lambda: run_rangejoin_columnar(columnar_left, columnar_right, method="sweep")
-    )
-    failures += _report_speedup("rangejoin", size, grid_ms, sweep_ms, baseline="grid")
-    return failures
-
-
-def smoke_factjoin(rows: int) -> int:
-    """The factorised select → join → select → window chain vs the expanded grid.
-
-    Three gates, at N = max(rows, 512) so the asymptotics are visible:
-
-    * **bit-identity** — python / expanded grid / factorised results must
-      agree at ``.to_rows()`` (and, with ``REPRO_WORKERS > 1``, the sharded
-      factorised run must match the serial one) — divergence is fatal;
-    * **peak allocation** — the factorised path must materialise
-      asymptotically fewer pair rows than the grid's ``|L'|·|R|`` scratch
-      (``pair_rows_materialised`` counts every pair-length array the
-      factorised representation gathers), so a regression that silently
-      re-expands mid-chain fails CI;
-    * **performance** — factorised should beat the grid contender
-      (warn-only unless ``REPRO_SMOKE_STRICT_PERF=1``, like every other
-      wall-clock gate here).
-    """
-    from repro.columnar.factorised import pair_rows_materialised, reset_pair_rows
-    from repro.columnar.parallel import resolve_workers
-    from repro.core.expressions import attr, const
-    from repro.core.operators import select
-    from repro.workloads.pipeline import (
-        factjoin_inputs,
-        run_factjoin_columnar,
-        run_factjoin_python,
-    )
-
-    size = max(rows, 512)
-    left, right, v_threshold, w_threshold = factjoin_inputs(size)
-    columnar_left = ColumnarAURelation.from_relation(left)
-    columnar_right = ColumnarAURelation.from_relation(right)
-
-    failures = 0
-    python_result = run_factjoin_python(left, right, v_threshold, w_threshold)
-    grid_result = run_factjoin_columnar(
-        columnar_left, columnar_right, v_threshold, w_threshold, method="grid"
-    )
-    reset_pair_rows()
-    fact_result = run_factjoin_columnar(
-        columnar_left, columnar_right, v_threshold, w_threshold
-    )
-    fact_alloc = pair_rows_materialised()
-    if not (
-        python_result.schema == grid_result.schema == fact_result.schema
-        and python_result._rows == grid_result._rows == fact_result._rows
-    ):
-        print("FAIL: factjoin python / grid / factorised paths diverge")
-        failures += 1
-
-    grid_pairs = len(select(left, attr("v").ge(const(v_threshold)))) * len(right)
-    print(
-        f"factjoin rows={size}: factorised pair-rows={fact_alloc} "
-        f"grid pair-grid={grid_pairs}"
-    )
-    if fact_alloc * 8 >= grid_pairs:
-        print(
-            "FAIL: factorised chain materialised too many pair rows "
-            f"({fact_alloc} vs grid {grid_pairs}) — something expands mid-chain"
-        )
-        failures += 1
-
-    workers = resolve_workers()
-    if workers > 1:
-        sharded = run_factjoin_columnar(
-            columnar_left, columnar_right, v_threshold, w_threshold, workers=workers
-        )
-        if not _same_rows(fact_result, sharded):
-            print(f"FAIL: factjoin sharded (workers={workers}) diverges from workers=1")
-            failures += 1
-
-    grid_ms = best_of(
-        lambda: run_factjoin_columnar(
-            columnar_left, columnar_right, v_threshold, w_threshold, method="grid"
-        )
-    )
-    fact_ms = best_of(
-        lambda: run_factjoin_columnar(
-            columnar_left, columnar_right, v_threshold, w_threshold
-        )
-    )
-    failures += _report_speedup("factjoin", size, grid_ms, fact_ms, baseline="grid")
-    return failures
-
-
-def _same_rows(serial, sharded) -> bool:
-    """Bit-identity including the first-occurrence row order."""
-    return serial.schema == sharded.schema and list(serial._rows.items()) == list(
-        sharded._rows.items()
-    )
-
-
-def smoke_parallel(rows: int) -> int:
-    """Sharded == unsharded on the plan workloads, at ``REPRO_WORKERS`` workers.
-
-    Divergence is always fatal.  The sharded-vs-serial timing only warns:
-    even under ``REPRO_SMOKE_STRICT_PERF=1`` a slowdown is ignored when the
-    host has fewer cores than workers (an oversubscribed pool cannot
-    demonstrate a speedup) — and at smoke sizes fork overhead dominates
-    anyway; ``tools/bench_trajectory.py`` measures the real large-N ratios.
-    """
-    from repro.columnar.parallel import fork_capable, resolve_workers
-    from repro.workloads.pipeline import (
-        equijoin_inputs,
-        multiwindow_inputs,
-        pipeline_inputs,
-        run_equijoin_columnar,
-        run_groupby_pipeline_columnar,
-        run_multiwindow_columnar,
-    )
-
-    workers = resolve_workers()
-    if workers <= 1:
-        print("parallel: workers=1 (set REPRO_WORKERS>1 to exercise the sharded executor)")
-        return 0
-    if not fork_capable():  # pragma: no cover - platform dependent
-        print("parallel: no fork support on this platform; executor runs serially")
-        return 0
-
-    failures = 0
-    cores = os.cpu_count() or 1
-
-    fact, dim, threshold = multiwindow_inputs(rows)
-    columnar_fact = ColumnarAURelation.from_relation(fact)
-    columnar_dim = ColumnarAURelation.from_relation(dim)
-    serial = run_multiwindow_columnar(columnar_fact, columnar_dim, threshold, workers=1)
-    sharded = run_multiwindow_columnar(columnar_fact, columnar_dim, threshold, workers=workers)
-    if not _same_rows(serial, sharded):
-        print(f"FAIL: multiwindow sharded (workers={workers}) diverges from workers=1")
-        failures += 1
-
-    g_serial = run_groupby_pipeline_columnar(columnar_fact, columnar_dim, threshold, workers=1)
-    g_sharded = run_groupby_pipeline_columnar(
-        columnar_fact, columnar_dim, threshold, workers=workers
-    )
-    if not _same_rows(g_serial, g_sharded):
-        print(f"FAIL: groupby pipeline sharded (workers={workers}) diverges from workers=1")
-        failures += 1
-
-    left, right = equijoin_inputs(rows)
-    columnar_left = ColumnarAURelation.from_relation(left)
-    columnar_right = ColumnarAURelation.from_relation(right)
-    j_serial = run_equijoin_columnar(columnar_left, columnar_right, workers=1)
-    j_sharded = run_equijoin_columnar(columnar_left, columnar_right, workers=workers)
-    if not _same_rows(j_serial, j_sharded):
-        print(f"FAIL: equijoin sharded (workers={workers}) diverges from workers=1")
-        failures += 1
-
-    serial_ms = best_of(
-        lambda: run_multiwindow_columnar(columnar_fact, columnar_dim, threshold, workers=1)
-    )
-    sharded_ms = best_of(
-        lambda: run_multiwindow_columnar(columnar_fact, columnar_dim, threshold, workers=workers)
-    )
-    speedup = serial_ms / sharded_ms if sharded_ms else float("inf")
-    print(
-        f"parallel rows={rows} workers={workers} cpus={cores}: "
-        f"serial={serial_ms:.2f}ms sharded={sharded_ms:.2f}ms speedup={speedup:.2f}x"
-    )
-    if speedup < 1.0:
-        if cores < workers:
-            print(
-                f"NOTE: {workers} workers on {cores} core(s) — oversubscribed, "
-                "speedup not expected at this size"
-            )
-        else:
-            print(
-                "WARN: sharded multiwindow slower than serial at the smoke size "
-                "(fork overhead dominates small inputs; see tools/bench_trajectory.py)"
-            )
-    if not failures:
-        print(f"OK: sharded execution bit-identical at workers={workers}")
-    return failures
-
-
-def smoke_serve(rows: int) -> int:
-    """Cached-incremental serving agrees with recompute over a query/delta mix.
-
-    Drives the same synthetic schedule (repeated parameterized top-k and
-    window queries with interleaved append/retract bursts) through all three
-    serving modes and asserts every answered relation is bit-identical —
-    cached views patched per delta must equal views rebuilt per delta must
-    equal a from-scratch plan run per query.  Divergence is always fatal.
-
-    The timing gate compares delta application: patching the cached views
-    against rebuilding them.  Under ``REPRO_SMOKE_STRICT_PERF=1`` the patch
-    path must beat rebuilds — by >= 3x from ``rows=4096`` up (the acceptance
-    ratio; at smoke sizes fixed per-delta overhead narrows the gap, so only
-    parity is required there).  The warm-query-vs-direct comparison only
-    warns: at tiny inputs the cold view builds dominate the cached side.
-    """
-    from repro.workloads.serve import (
-        SERVE_MODES,
-        latency_summary,
-        run_serve_mix,
-        serve_inputs,
-        serve_schedule,
-    )
-
-    base = serve_inputs(rows, seed=0)
-    schedule = serve_schedule(base, queries=60, deltas=6, delta_rows=6, seed=0)
-    runs = {mode: run_serve_mix(base, schedule, mode=mode) for mode in SERVE_MODES}
-
-    failures = 0
-    inc_results = runs["incremental"][0]
-    for mode in ("cached-recompute", "direct"):
-        other = runs[mode][0]
-        if len(other) != len(inc_results):
-            print(f"FAIL: serve mode {mode} answered {len(other)}/{len(inc_results)} queries")
-            failures += 1
+    for workload in WORKLOADS.values():
+        outcome = run_workload(workload, rows, measure=checked_best_of)
+        for message in outcome.failures:
+            print(f"FAIL: {message}")
+        failures += len(outcome.failures)
+        if outcome.failures:
             continue
-        for index, (lhs, rhs) in enumerate(zip(inc_results, other)):
-            if lhs.schema != rhs.schema or list(lhs._rows.items()) != list(rhs._rows.items()):
-                print(f"FAIL: serve query {index} diverges (incremental vs {mode})")
+        cells = [
+            f"{header}={value:.2f}" if isinstance(value, float) else f"{header}={value}"
+            for header, value in zip(workload.headers, outcome.row()[1:])
+        ]
+        facts = [f"{name}={value}" for name, value in outcome.facts.items()]
+        print(f"{workload.name} rows={rows}: " + " ".join(cells + facts))
+        for message in outcome.floor_misses():
+            if strict:
+                print(f"FAIL: {message}")
                 failures += 1
-                break
-
-    inc_queries = latency_summary(runs["incremental"][1])
-    direct_queries = latency_summary(runs["direct"][1])
-    patched_ms = sum(runs["incremental"][2]) * 1000.0
-    rebuilt_ms = sum(runs["cached-recompute"][2]) * 1000.0
-    delta_speedup = rebuilt_ms / patched_ms if patched_ms else float("inf")
-    print(
-        f"serve rows={rows}: incremental qps={inc_queries['qps']:.0f} "
-        f"p99={inc_queries['p99_ms']:.2f}ms direct qps={direct_queries['qps']:.0f} "
-        f"p99={direct_queries['p99_ms']:.2f}ms | deltas patched={patched_ms:.2f}ms "
-        f"rebuilt={rebuilt_ms:.2f}ms speedup={delta_speedup:.2f}x"
-    )
-    required = 3.0 if rows >= 4096 else 1.0
-    if delta_speedup < required:
-        message = (
-            f"patched deltas only {delta_speedup:.2f}x faster than view rebuilds "
-            f"(required >= {required:.1f}x at rows={rows})"
-        )
-        if os.environ.get("REPRO_SMOKE_STRICT_PERF") == "1":
-            print(f"FAIL: {message}")
-            failures += 1
-        else:
-            print(f"WARN: {message} (not fatal; set REPRO_SMOKE_STRICT_PERF=1 to enforce)")
-    if inc_queries["qps"] < direct_queries["qps"]:
-        print(
-            "WARN: cached serving slower than per-query recompute at the smoke size "
-            "(cold view builds dominate tiny inputs; tools/bench_trajectory.py "
-            "measures the warm large-N ratios)"
-        )
-    if not failures:
-        print("OK: serve modes agree bit-for-bit over the query/delta mix")
-    return failures
-
-
-def smoke_sql(rows: int) -> int:
-    """The SQL frontend's optimized plan agrees with its oracles and stays fast.
-
-    Compiles the scaling query (``repro.workloads.sql``) against a fresh
-    catalog and asserts three-way bit-identity: the optimized columnar plan
-    must equal the unoptimized (literal-lowering) columnar plan must equal
-    the row-at-a-time Python execution.  The optimized plan's joins must
-    also resolve to a non-quadratic kernel — a ``grid`` join here means the
-    kernel-preference rule regressed.  Divergence is always fatal.
-
-    The timing gate brackets what the optimizer rules buy: optimized vs
-    unoptimized (grid join, no pushdown, no pruning).  As with the other
-    smokes the gap only warns by default and turns fatal under
-    ``REPRO_SMOKE_STRICT_PERF=1`` — at ``rows >= 1024`` strict mode requires
-    the acceptance ratio of >= 5x; below that, parity.
-    """
-    from repro.workloads.sql import (
-        run_sql_optimized,
-        run_sql_python,
-        run_sql_unoptimized,
-        sql_catalog,
-        sql_join_kernels,
-    )
-
-    catalog = sql_catalog(rows, seed=0)
-    optimized = run_sql_optimized(catalog)
-    failures = 0
-    for label, oracle in (
-        ("unoptimized", run_sql_unoptimized),
-        ("python", run_sql_python),
-    ):
-        other = oracle(catalog)
-        if optimized.schema != other.schema or optimized._rows != other._rows:
-            print(f"FAIL: sql optimized plan diverges from the {label} execution")
-            failures += 1
-    kernels = sql_join_kernels(catalog)
-    if "grid" in kernels:
-        print(f"FAIL: sql optimized plan fell back to a grid join (kernels={kernels})")
-        failures += 1
-
-    optimized_ms = best_of(lambda: run_sql_optimized(catalog), reps=3)
-    unoptimized_ms = best_of(lambda: run_sql_unoptimized(catalog), reps=3)
-    speedup = unoptimized_ms / optimized_ms if optimized_ms else float("inf")
-    print(
-        f"sql rows={rows}: unoptimized={unoptimized_ms:.2f}ms "
-        f"optimized={optimized_ms:.2f}ms speedup={speedup:.2f}x "
-        f"kernels={'+'.join(kernels)}"
-    )
-    required = 5.0 if rows >= 1024 else 1.0
-    if speedup < required:
-        message = (
-            f"optimized sql plan only {speedup:.2f}x faster than the unoptimized "
-            f"lowering (required >= {required:.1f}x at rows={rows})"
-        )
-        if os.environ.get("REPRO_SMOKE_STRICT_PERF") == "1":
-            print(f"FAIL: {message}")
-            failures += 1
-        else:
-            print(f"WARN: {message} (not fatal; set REPRO_SMOKE_STRICT_PERF=1 to enforce)")
-    if not failures:
-        print("OK: sql executions agree bit-for-bit (optimized vs unoptimized vs python)")
+            else:
+                print(f"WARN: {message} (not fatal; set REPRO_SMOKE_STRICT_PERF=1 to enforce)")
     return failures
 
 
 def main(rows: int = 200) -> int:
-    failures = (
-        smoke_sort(rows)
-        + smoke_window(rows)
-        + smoke_pipeline(rows)
-        + smoke_groupby(rows)
-        + smoke_multiwindow(rows)
-        + smoke_equijoin(rows)
-        + smoke_rangejoin(rows)
-        + smoke_factjoin(rows)
-        + smoke_parallel(rows)
-        + smoke_serve(rows)
-        + smoke_sql(rows)
-    )
+    failures = smoke_sort(rows) + smoke_window(rows) + smoke_workloads(rows)
     if not failures:
         print("OK: backends agree bit-for-bit")
     return failures

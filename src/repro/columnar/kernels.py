@@ -261,7 +261,9 @@ def selected_guess_positions(
     Orders the tuples under ``<ᵗᵒᵗᵃˡ_O`` — selected-guess order-by keys, then
     the remaining attributes, then the input sequence number — and
     accumulates selected-guess multiplicities, exactly like the Python
-    backend's ``_sg_positions``.
+    backend's ``_sg_positions``.  When a remaining attribute mixes
+    incomparable types, :func:`_break_ties` consults each attribute only
+    where a tie reaches it, as the Python tuple key does.
 
     ``strict_tiebreak`` names an attribute whose selected-guess values are a
     strict ``int64`` permutation ordered like the *full* non-order-by
@@ -272,6 +274,8 @@ def selected_guess_positions(
     """
     n = len(relation)
     in_order_by = set(order_by)
+    rest = [name for name in relation.schema if name not in in_order_by]
+    stepwise = False
     # np.lexsort sorts by its *last* key first: sequence number (final
     # tiebreaker) goes first, then the rest attributes right-to-left, then
     # the order-by codes right-to-left.
@@ -283,18 +287,69 @@ def selected_guess_positions(
         # Raw values are their own rank codes (strict int64 permutation).
         keys: list[np.ndarray] = [relation.column(strict_tiebreak).sg]
     else:
-        rest = [name for name in relation.schema if name not in in_order_by]
         keys = [np.arange(n, dtype=np.int64)]
-        for name in reversed(rest):
-            keys.append(component_rank_codes(relation.column(name), ("sg",))[0])
+        try:
+            rest_codes = [_rank_codes(relation.column(name).sg, name) for name in rest]
+        except OperatorError:
+            stepwise = True
+        else:
+            keys.extend(reversed(rest_codes))
     for j in reversed(range(sg_codes.shape[1])):
         keys.append(sg_codes[:, j])
     order = lexsort_stable(keys)
+    if stepwise:
+        order = _break_ties(relation, order, sg_codes[order], rest)
     weights = relation.mult_sg[order]
     running = np.cumsum(weights) - weights
     positions = np.empty(n, dtype=np.int64)
     positions[order] = running
     return positions
+
+
+def _rank_codes(values: np.ndarray, attribute: str) -> np.ndarray:
+    """Dense order codes of one component array (``OperatorError`` if incomparable)."""
+    if values.dtype != object:
+        return _numeric_rank_codes([values])[0]
+    return _object_rank_codes([values.tolist()], attribute)[0]
+
+
+def _break_ties(
+    relation: ColumnarAURelation,
+    order: np.ndarray,
+    sorted_keys: np.ndarray,
+    rest: Sequence[str],
+) -> np.ndarray:
+    """Refine ``order`` by the ``rest`` attributes, one attribute at a time.
+
+    ``order`` is sorted by the rows of ``sorted_keys`` (already permuted
+    into that order) and by sequence number.  Each attribute re-sorts only
+    the rows still tied on the keys and every earlier attribute, ranking
+    each tie group on its own, so an attribute mixing incomparable types
+    raises only when one tie holds two such values.  Rows that tie on
+    everything keep their sequence order.
+    """
+    if len(order) < 2:
+        return order
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
+    for name in rest:
+        group = np.cumsum(starts)
+        positions = np.flatnonzero(np.bincount(group)[group] > 1)
+        if not len(positions):
+            break
+        tied_groups = group[positions]
+        values = relation.column(name).sg[order[positions]]
+        codes = np.empty(len(positions), dtype=np.int64)
+        bounds = np.flatnonzero(np.diff(tied_groups)) + 1
+        for segment in np.split(np.arange(len(positions)), bounds):
+            codes[segment] = _rank_codes(values[segment], name)
+        # Tied rows of one group sit contiguously, so a stable sort on
+        # (group, code) re-orders each group in place.
+        regroup = lexsort_stable([codes, tied_groups])
+        order[positions] = order[positions][regroup]
+        codes = codes[regroup]
+        starts[positions[1:]] |= codes[1:] != codes[:-1]
+    return order
 
 
 def sort_position_bounds(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import random
+from functools import partial
 from typing import Sequence
 
 from repro.algorithms.connected_heap import ConnectedHeap, NaiveMultiHeap
@@ -35,6 +36,7 @@ from repro.window.native import window_native
 from repro.window.semantics import window_rewrite
 from repro.window.spec import WindowSpec
 from repro.workloads.realworld import REAL_WORLD_DATASETS, DatasetBundle
+from repro.workloads.registry import WORKLOADS, run_workload
 from repro.workloads.synthetic import SyntheticConfig, generate_sort_table, generate_window_table
 
 __all__ = [
@@ -51,14 +53,7 @@ __all__ = [
     "fig17_realworld_performance",
     "fig18_realworld_sort_quality",
     "fig19_realworld_window_quality",
-    "pipeline_scaling",
-    "groupby_pipeline_scaling",
-    "multiwindow_scaling",
-    "equijoin_scaling",
-    "rangejoin_scaling",
-    "factjoin_scaling",
-    "serve_scaling",
-    "sql_scaling",
+    "plan_scaling",
     "ALL_EXPERIMENTS",
 ]
 
@@ -651,500 +646,52 @@ def fig19_realworld_window_quality(*, scale: float = 0.05, seed: int = 0) -> Exp
 
 
 # ---------------------------------------------------------------------------
-# Pipeline — multi-operator RA⁺ plans on both backends
+# Plan workloads — one table per entry of repro.workloads.registry
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_backend_scaling(
+def plan_scaling(
     name: str,
-    description: str,
-    python_runner,
-    columnar_runner,
     *,
-    sizes: Sequence[int],
-    seed: int,
-) -> ExperimentResult:
-    """Shared driver for the pipeline-shaped two-backend comparisons.
-
-    ``Imp`` materialises a row-major relation between every stage;
-    ``Imp-Col`` runs the identical plan as a
-    :class:`~repro.columnar.plan.ColumnarPlan` chain.  Results are
-    bit-identical (``smoke_backends.py`` asserts it); without NumPy the
-    columnar column degrades to ``-``.
-    """
-    from repro.workloads.pipeline import pipeline_inputs
-
-    result = ExperimentResult(
-        name=name, description=description, headers=["Size", "Imp", "Imp-Col", "speedup"]
-    )
-    # Warm both runners once so one-time import / kernel setup costs do not
-    # land in the smallest size's timing.
-    warm_fact, warm_dim, warm_threshold = pipeline_inputs(min(sizes), seed=seed)
-    if backend_enabled("python"):
-        python_runner(warm_fact, warm_dim, warm_threshold)
-    if backend_enabled("columnar"):
-        try:
-            columnar_runner(warm_fact, warm_dim, warm_threshold)
-        except ImportError:  # pragma: no cover - environment dependent
-            pass
-    for size in sizes:
-        fact, dim, threshold = pipeline_inputs(size, seed=seed)
-        imp_ms: object = "-"
-        if backend_enabled("python"):
-            _, imp_ms = timed_ms(lambda: python_runner(fact, dim, threshold))
-        imp_col_ms: object = "-"
-        speedup: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                from repro.columnar.relation import ColumnarAURelation
-            except ImportError:
-                pass
-            else:
-                columnar_fact = ColumnarAURelation.from_relation(fact)
-                columnar_dim = ColumnarAURelation.from_relation(dim)
-                _, imp_col_ms = timed_ms(
-                    lambda: columnar_runner(columnar_fact, columnar_dim, threshold)
-                )
-        if isinstance(imp_ms, float) and isinstance(imp_col_ms, float):
-            speedup = imp_ms / imp_col_ms if imp_col_ms else float("inf")
-        result.add(size, imp_ms, imp_col_ms, speedup)
-    return result
-
-
-def pipeline_scaling(*, sizes: Sequence[int] = (64, 128, 256, 512), seed: int = 0) -> ExperimentResult:
-    """Multi-operator pipeline (select -> join -> project -> window) per backend."""
-    from repro.workloads.pipeline import run_pipeline_columnar, run_pipeline_python
-
-    return _pipeline_backend_scaling(
-        "pipeline",
-        "Multi-operator RA+ pipeline runtime (ms): select -> join -> project -> window",
-        run_pipeline_python,
-        run_pipeline_columnar,
-        sizes=sizes,
-        seed=seed,
-    )
-
-
-def groupby_pipeline_scaling(
-    *, sizes: Sequence[int] = (64, 128, 256, 512), seed: int = 0
-) -> ExperimentResult:
-    """Grouped-aggregation pipeline (select -> join -> groupby -> window) per backend.
-
-    The columnar chain keeps the grouped-aggregation stage columnar between
-    the join and the terminal window (no row-major conversion mid-plan).
-    """
-    from repro.workloads.pipeline import (
-        run_groupby_pipeline_columnar,
-        run_groupby_pipeline_python,
-    )
-
-    return _pipeline_backend_scaling(
-        "groupby",
-        "Groupby pipeline runtime (ms): select -> join -> groupby -> window",
-        run_groupby_pipeline_python,
-        run_groupby_pipeline_columnar,
-        sizes=sizes,
-        seed=seed,
-    )
-
-
-def multiwindow_scaling(
-    *, sizes: Sequence[int] = (128, 256, 512, 1024), seed: int = 0
-) -> ExperimentResult:
-    """Multi-window plan (select -> join -> window -> select -> window) per path.
-
-    The composed RA⁺ setting: the plan *continues past* its first window
-    stage.  Three execution paths over identical inputs:
-
-    * ``Imp`` — tuple-at-a-time operators, row-major between stages;
-    * ``Imp-Col-RT`` — the columnar kernels invoked per stage through the
-      ``backend="columnar"`` entry points, so every stage converts its input
-      to columnar and its result back to row-major (the pre-refactor
-      round-trip execution model; starts from the row-major tables, like
-      ``Imp``);
-    * ``Imp-Col`` — the identical plan as one ``ColumnarPlan`` chain over the
-      columnar-resident tables, converting only at the final ``.to_rows()``.
-
-    ``RT-speedup`` is the no-round-trip win (``Imp-Col-RT`` / ``Imp-Col``);
-    all three paths are bit-identical (``smoke_backends.py`` asserts it).
-    Without NumPy the columnar columns degrade to ``-``.
-    """
-    from repro.workloads.pipeline import (
-        multiwindow_inputs,
-        run_multiwindow_columnar,
-        run_multiwindow_python,
-        run_multiwindow_roundtrip_columnar,
-    )
-
-    result = ExperimentResult(
-        name="multiwindow",
-        description="Multi-window RA+ plan runtime (ms): select -> join -> window -> select -> window",
-        headers=["Size", "Imp", "Imp-Col-RT", "Imp-Col", "RT-speedup", "Imp-speedup"],
-    )
-    warm_fact, warm_dim, warm_threshold = multiwindow_inputs(min(sizes), seed=seed)
-    if backend_enabled("python"):
-        run_multiwindow_python(warm_fact, warm_dim, warm_threshold)
-    if backend_enabled("columnar"):
-        try:
-            run_multiwindow_columnar(warm_fact, warm_dim, warm_threshold)
-        except ImportError:  # pragma: no cover - environment dependent
-            pass
-    for size in sizes:
-        fact, dim, threshold = multiwindow_inputs(size, seed=seed)
-        imp_ms: object = "-"
-        if backend_enabled("python"):
-            _, imp_ms = timed_ms(lambda: run_multiwindow_python(fact, dim, threshold))
-        rt_ms: object = "-"
-        chained_ms: object = "-"
-        rt_speedup: object = "-"
-        imp_speedup: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                from repro.columnar.relation import ColumnarAURelation
-            except ImportError:
-                pass
-            else:
-                columnar_fact = ColumnarAURelation.from_relation(fact)
-                columnar_dim = ColumnarAURelation.from_relation(dim)
-                _, rt_ms = timed_ms(
-                    lambda: run_multiwindow_roundtrip_columnar(fact, dim, threshold)
-                )
-                _, chained_ms = timed_ms(
-                    lambda: run_multiwindow_columnar(columnar_fact, columnar_dim, threshold)
-                )
-        if isinstance(chained_ms, float):
-            if isinstance(rt_ms, float):
-                rt_speedup = rt_ms / chained_ms if chained_ms else float("inf")
-            if isinstance(imp_ms, float):
-                imp_speedup = imp_ms / chained_ms if chained_ms else float("inf")
-        result.add(size, imp_ms, rt_ms, chained_ms, rt_speedup, imp_speedup)
-    return result
-
-
-def equijoin_scaling(
-    *,
-    sizes: Sequence[int] = (256, 1024, 4096),
-    quadratic_ceiling: int = 1024,
+    sizes: Sequence[int] | None = None,
     seed: int = 0,
+    quadratic_ceiling: int | None = None,
 ) -> ExperimentResult:
-    """Equi-join kernels: Python loop vs columnar pair grid vs searchsorted.
+    """The table of the registry plan workload ``name``: one row per size.
 
-    The quadratic contenders (the tuple-at-a-time loop and the
-    ``np.repeat`` × ``np.tile`` grid) only run up to ``quadratic_ceiling``;
-    above it their columns degrade to ``-`` — which is the point: the
-    sort/searchsorted path reaches sizes the pair grid cannot.
-    """
-    from repro.workloads.pipeline import (
-        equijoin_inputs,
-        run_equijoin_columnar,
-        run_equijoin_python,
-    )
-
-    result = ExperimentResult(
-        name="equijoin",
-        description="Equi-join runtime (ms): python / columnar grid / columnar searchsorted",
-        headers=["Size", "Imp", "Grid", "SearchSorted"],
-    )
-    for size in sizes:
-        left, right = equijoin_inputs(size, seed=seed)
-        imp_ms: object = "-"
-        grid_ms: object = "-"
-        if size <= quadratic_ceiling and backend_enabled("python"):
-            _, imp_ms = timed_ms(lambda: run_equijoin_python(left, right))
-        fast_ms: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                from repro.columnar.relation import ColumnarAURelation
-            except ImportError:
-                pass
-            else:
-                columnar_left = ColumnarAURelation.from_relation(left)
-                columnar_right = ColumnarAURelation.from_relation(right)
-                if size <= quadratic_ceiling:
-                    _, grid_ms = timed_ms(
-                        lambda: run_equijoin_columnar(columnar_left, columnar_right, method="grid")
-                    )
-                _, fast_ms = timed_ms(
-                    lambda: run_equijoin_columnar(
-                        columnar_left, columnar_right, method="searchsorted"
-                    )
-                )
-        result.add(size, imp_ms, grid_ms, fast_ms)
-    return result
-
-
-def rangejoin_scaling(
-    *,
-    sizes: Sequence[int] = (256, 1024, 4096),
-    quadratic_ceiling: int = 1024,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Range×range join kernels: Python loop vs columnar grid vs overlap sweep.
-
-    Both sides carry uncertain interval keys, so the searchsorted kernel's
-    certain-side requirement can never hold — before the interval-overlap
-    sweep this workload was grid-only.  The quadratic contenders run up to
-    ``quadratic_ceiling``; above it their columns degrade to ``-`` while the
-    sweep, which enumerates only the possibly-overlapping pairs, keeps
-    scaling.
-    """
-    from repro.workloads.pipeline import (
-        rangejoin_inputs,
-        run_rangejoin_columnar,
-        run_rangejoin_python,
-    )
-
-    result = ExperimentResult(
-        name="rangejoin",
-        description=(
-            "Range-key join runtime (ms): python / columnar grid / columnar sweep"
-        ),
-        headers=["Size", "Imp", "Grid", "Sweep"],
-    )
-    for size in sizes:
-        left, right = rangejoin_inputs(size, seed=seed)
-        imp_ms: object = "-"
-        grid_ms: object = "-"
-        if size <= quadratic_ceiling and backend_enabled("python"):
-            _, imp_ms = timed_ms(lambda: run_rangejoin_python(left, right))
-        sweep_ms: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                from repro.columnar.relation import ColumnarAURelation
-            except ImportError:
-                pass
-            else:
-                columnar_left = ColumnarAURelation.from_relation(left)
-                columnar_right = ColumnarAURelation.from_relation(right)
-                if size <= quadratic_ceiling:
-                    _, grid_ms = timed_ms(
-                        lambda: run_rangejoin_columnar(
-                            columnar_left, columnar_right, method="grid"
-                        )
-                    )
-                _, sweep_ms = timed_ms(
-                    lambda: run_rangejoin_columnar(
-                        columnar_left, columnar_right, method="sweep"
-                    )
-                )
-        result.add(size, imp_ms, grid_ms, sweep_ms)
-    return result
-
-
-def factjoin_scaling(
-    *,
-    sizes: Sequence[int] = (256, 1024, 4096),
-    quadratic_ceiling: int = 1024,
-    seed: int = 0,
-) -> ExperimentResult:
-    """The factorised select → join → select → window chain vs the expanded paths.
-
-    The Python backend and the eager pair-grid contender only run up to
-    ``quadratic_ceiling`` — above it their columns degrade to ``-``, which is
-    the point: the factorised representation (matched-pair index vectors, no
-    payload gather before the boundary) reaches N=4096 where the grid's
-    ``O(|L|·|R|)`` scratch exceeds its memory ceiling.  At the capped sizes
-    the three results are checked bit-identical at ``.to_rows()`` (a mismatch
-    raises, so the table never reports timings for diverging plans).
-    """
-    from repro.errors import ReproError
-    from repro.workloads.pipeline import (
-        factjoin_inputs,
-        run_factjoin_columnar,
-        run_factjoin_python,
-    )
-
-    result = ExperimentResult(
-        name="factjoin",
-        description=(
-            "select-join-select-window runtime (ms): python / expanded grid / factorised"
-        ),
-        headers=["Size", "Imp", "Grid", "Factorised"],
-    )
-    for size in sizes:
-        left, right, v_threshold, w_threshold = factjoin_inputs(size, seed=seed)
-        imp_ms: object = "-"
-        python_rows = None
-        if size <= quadratic_ceiling and backend_enabled("python"):
-            python_rows, imp_ms = timed_ms(
-                lambda: run_factjoin_python(left, right, v_threshold, w_threshold)
-            )
-        grid_ms: object = "-"
-        fact_ms: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                from repro.columnar.relation import ColumnarAURelation
-            except ImportError:
-                pass
-            else:
-                columnar_left = ColumnarAURelation.from_relation(left)
-                columnar_right = ColumnarAURelation.from_relation(right)
-                grid_rows = None
-                if size <= quadratic_ceiling:
-                    grid_rows, grid_ms = timed_ms(
-                        lambda: run_factjoin_columnar(
-                            columnar_left, columnar_right, v_threshold, w_threshold,
-                            method="grid",
-                        )
-                    )
-                fact_rows, fact_ms = timed_ms(
-                    lambda: run_factjoin_columnar(
-                        columnar_left, columnar_right, v_threshold, w_threshold
-                    )
-                )
-                for label, other in (("python", python_rows), ("grid", grid_rows)):
-                    if other is not None and (
-                        fact_rows.schema != other.schema
-                        or fact_rows._rows != other._rows
-                    ):
-                        raise ReproError(
-                            f"factjoin: factorised result diverges from the "
-                            f"{label} backend at size {size}"
-                        )
-        result.add(size, imp_ms, grid_ms, fact_ms)
-    return result
-
-
-def serve_scaling(
-    *,
-    sizes: Sequence[int] = (256, 512, 1024),
-    seed: int = 0,
-    queries: int = 120,
-    deltas: int = 8,
-) -> ExperimentResult:
-    """Cached-plan serving under a query/delta mix: incremental vs recompute.
-
-    Drives the same synthetic schedule (repeated parameterized top-k and
-    partitioned-window queries, interleaved append/retract bursts — see
-    :mod:`repro.workloads.serve`) through three serving configurations:
-    cached views patched in place per delta (``Inc``), the plan re-run from
-    the accumulated base on every query (``Direct`` — recompute-per-query,
-    the query-cost contender), and cached views rebuilt per delta
-    (``delta speedup``'s denominator — the delta-cost contender).  Reports
-    query throughput (QPS) and tail latency (p99 ms) for the first two, plus
-    the patched-vs-rebuilt delta-application speedup; all three modes'
-    answers are asserted bit-identical at every size.
+    The columns are the workload's declared ones (its contenders' ms plus
+    derived speedups, kernels or serving statistics).  A contender that
+    ``REPRO_BACKEND`` filters out, that needs absent NumPy, or whose ceiling
+    (``quadratic_ceiling`` overrides every declared one) caps it at a size
+    prints ``-``.  Each size's gates must pass — every contender agreeing
+    with the reference, row order included — before its row is added; a
+    failure raises :class:`~repro.errors.ReproError`.  The smallest size
+    runs once untimed first, so one-time import and kernel set-up costs stay
+    out of the table.
     """
     from repro.errors import ReproError
 
+    workload = WORKLOADS[name]
+    sizes = tuple(sizes or workload.sizes)
     result = ExperimentResult(
-        name="serve",
-        description=(
-            "Cached-plan serving (QPS / p99 ms): incremental views (Inc) vs "
-            "recompute-per-query (Direct), plus patched-vs-rebuilt delta speedup"
-        ),
-        headers=[
-            "Size", "Inc QPS", "Direct QPS", "Inc p99", "Direct p99", "delta speedup",
-        ],
+        name=name, description=workload.description, headers=["Size", *workload.headers]
     )
-    if not backend_enabled("columnar"):
-        for size in sizes:
-            result.add(size, "-", "-", "-", "-", "-")
-        return result
-    try:
-        from repro.workloads.serve import (
-            latency_summary, run_serve_mix, serve_inputs, serve_schedule,
+
+    def checked_row(size: int) -> list:
+        outcome = run_workload(
+            workload,
+            size,
+            seed=seed,
+            enabled=lambda contender: backend_enabled(contender.backend),
+            ceiling=quadratic_ceiling,
         )
-    except ImportError:  # pragma: no cover - environment dependent
-        for size in sizes:
-            result.add(size, "-", "-", "-", "-", "-")
-        return result
+        if outcome.failures:
+            raise ReproError("; ".join(outcome.failures))
+        return outcome.row()
+
+    checked_row(min(sizes))  # warm-up
     for size in sizes:
-        base = serve_inputs(size, seed=seed)
-        schedule = serve_schedule(base, queries=queries, deltas=deltas, seed=seed)
-        inc_rows, inc_q, inc_d = run_serve_mix(base, schedule, mode="incremental")
-        direct_rows, direct_q, _ = run_serve_mix(base, schedule, mode="direct")
-        rebuilt_rows, _, rebuilt_d = run_serve_mix(
-            base, schedule, mode="cached-recompute"
-        )
-        for label, other in (("direct", direct_rows), ("rebuilt", rebuilt_rows)):
-            for a, b in zip(inc_rows, other):
-                if a.schema != b.schema or a._rows != b._rows:
-                    raise ReproError(
-                        f"serve: incremental serving diverges from the {label} "
-                        f"mode at size {size}"
-                    )
-        inc, direct = latency_summary(inc_q), latency_summary(direct_q)
-        delta_speedup: object = "-"
-        if inc_d and sum(inc_d):
-            delta_speedup = sum(rebuilt_d) / sum(inc_d)
-        result.add(
-            size, inc["qps"], direct["qps"], inc["p99_ms"], direct["p99_ms"],
-            delta_speedup,
-        )
-    return result
-
-
-def sql_scaling(
-    *,
-    sizes: Sequence[int] = (256, 1024, 4096),
-    quadratic_ceiling: int = 1024,
-    seed: int = 0,
-) -> ExperimentResult:
-    """The SQL frontend's optimizer bracket: optimized vs literal vs python.
-
-    One query (certain-key equi-join, one-sided WHERE conjuncts, untouched
-    payload columns, GROUP BY, top-k — see :mod:`repro.workloads.sql`) runs
-    three ways: through the full rule pipeline (pushdown + pruning + kernel
-    preference), as the literal grid-joining unpruned lowering, and on the
-    row-at-a-time python backend.  The quadratic contenders stop at
-    ``quadratic_ceiling`` (their columns degrade to ``-``); at every size
-    that runs more than one mode the results are checked bit-identical at
-    ``.to_rows()`` before any timing is reported, and the ``Kernels`` column
-    records what the optimized joins resolved to (never the grid on this
-    workload's certain keys).
-    """
-    from repro.errors import ReproError
-    from repro.workloads.sql import (
-        run_sql_optimized,
-        run_sql_python,
-        run_sql_unoptimized,
-        sql_catalog,
-        sql_join_kernels,
-    )
-
-    result = ExperimentResult(
-        name="sql",
-        description=(
-            "SQL query runtime (ms): python / unoptimized lowering / "
-            "optimized plan, plus the optimized joins' kernels"
-        ),
-        headers=["Size", "Imp", "Unopt", "Opt", "Kernels"],
-    )
-    for size in sizes:
-        catalog = sql_catalog(size, seed=seed)
-        imp_ms: object = "-"
-        python_rows = None
-        if size <= quadratic_ceiling and backend_enabled("python"):
-            python_rows, imp_ms = timed_ms(lambda: run_sql_python(catalog))
-        unopt_ms: object = "-"
-        opt_ms: object = "-"
-        kernels: object = "-"
-        if backend_enabled("columnar"):
-            try:
-                import numpy  # noqa: F401 - the columnar backend needs it
-            except ImportError:
-                pass
-            else:
-                unopt_rows = None
-                if size <= quadratic_ceiling:
-                    unopt_rows, unopt_ms = timed_ms(
-                        lambda: run_sql_unoptimized(catalog)
-                    )
-                opt_rows, opt_ms = timed_ms(lambda: run_sql_optimized(catalog))
-                kernels = "+".join(sql_join_kernels(catalog))
-                for label, other in (
-                    ("python", python_rows), ("unoptimized", unopt_rows),
-                ):
-                    if other is not None and (
-                        opt_rows.schema != other.schema
-                        or opt_rows._rows != other._rows
-                    ):
-                        raise ReproError(
-                            f"sql: the optimized plan diverges from the "
-                            f"{label} execution at size {size}"
-                        )
-        result.add(size, imp_ms, unopt_ms, opt_ms, kernels)
+        result.add(*checked_row(size))
     return result
 
 
@@ -1160,12 +707,5 @@ ALL_EXPERIMENTS = {
     "fig17": fig17_realworld_performance,
     "fig18": fig18_realworld_sort_quality,
     "fig19": fig19_realworld_window_quality,
-    "pipeline": pipeline_scaling,
-    "groupby": groupby_pipeline_scaling,
-    "multiwindow": multiwindow_scaling,
-    "equijoin": equijoin_scaling,
-    "rangejoin": rangejoin_scaling,
-    "factjoin": factjoin_scaling,
-    "serve": serve_scaling,
-    "sql": sql_scaling,
+    **{name: partial(plan_scaling, name) for name in WORKLOADS},
 }

@@ -38,6 +38,8 @@ def _sg_positions(
     Computed by ordering the items on their selected-guess keys (with the
     remaining attributes and the sequence number as tiebreakers, i.e. the
     paper's ``<ᵗᵒᵗᵃˡ_O``) and accumulating selected-guess multiplicities.
+    A tie that reaches two incomparable values (``5`` vs ``"x"``) raises
+    :class:`~repro.errors.OperatorError`, as the columnar backend does.
     """
     if not items:
         return {}
@@ -48,7 +50,13 @@ def _sg_positions(
         rest_key = tuple(sort_key_value(item.tup.value(name).sg) for name in rest)
         return (item.key_sg, rest_key, item.seq)
 
-    ordered = sorted(items, key=sg_total_key)
+    try:
+        ordered = sorted(items, key=sg_total_key)
+    except TypeError as exc:
+        raise OperatorError(
+            f"cannot order tied rows on the attributes {rest}: {exc}; clean each "
+            "column to a single comparable type"
+        ) from exc
     positions: dict[int, int] = {}
     running = 0
     for item in ordered:

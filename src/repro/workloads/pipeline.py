@@ -1,39 +1,27 @@
-"""Multi-operator ``RA⁺`` + window pipeline workloads (backend benchmarks).
+"""Inputs and plan constants of the multi-operator ``RA⁺`` + window workloads.
 
 The figure benchmarks time single operators; these workloads time whole
 query plans — the compositions the AU-DB closure theorems are about:
 
 * the projection pipeline: ``select(v >= t, fact) ⋈_g dim  →  π(o, v)  →
-  sum(v) OVER (ORDER BY o ROWS 2 PRECEDING)``
-  (:func:`run_pipeline_python` / :func:`run_pipeline_columnar`),
+  sum(v) OVER (ORDER BY o ROWS 2 PRECEDING)``,
 * the groupby pipeline: ``select(v >= t, fact) ⋈_g dim  →  γ_g(sum, count,
-  max)  →  sum(s) OVER (ORDER BY g ROWS 2 PRECEDING)``
-  (:func:`run_groupby_pipeline_python` / :func:`run_groupby_pipeline_columnar`
-  — the grouped-aggregation stage stays columnar mid-plan),
+  max)  →  sum(s) OVER (ORDER BY g ROWS 2 PRECEDING)``,
 * the multi-window pipeline: ``select(v >= t, fact) ⋈_g dim  →  sum(v) OVER
   (ORDER BY o ROWS 2 PRECEDING)  →  select(w1 >= t₂)  →  max(w1) OVER
   (ORDER BY o ROWS 3 PRECEDING)`` — the paper's composed RA⁺ setting, where
-  a plan *continues past* a window stage
-  (:func:`run_multiwindow_python` / :func:`run_multiwindow_columnar` /
-  :func:`run_multiwindow_roundtrip_columnar` — the chained plan stays
-  columnar through both windows, the round-trip runner re-materialises
-  row-major relations after every stage, isolating the conversion cost the
-  columnar-native window output removes), and
+  a plan *continues past* a window stage (:func:`run_multiwindow_python` /
+  :func:`run_multiwindow_columnar`),
 * a large-N equi-join with certain integer keys and ~50% overlap
-  (:func:`equijoin_inputs`, :func:`run_equijoin_python` /
-  :func:`run_equijoin_columnar` with ``method="grid" | "searchsorted"``), and
+  (:func:`equijoin_inputs`),
 * a large-N range×range join whose keys are uncertain intervals on *both*
   sides — grid-only before the interval-overlap sweep kernel
-  (:func:`rangejoin_inputs`, :func:`run_rangejoin_python` /
-  :func:`run_rangejoin_columnar` with ``method="grid" | "sweep"``).
+  (:func:`rangejoin_inputs`), and
+* the factorised select → join → select → window chain
+  (:func:`factjoin_inputs`).
 
-Each python runner materialises a row-major
-:class:`~repro.core.relation.AURelation` between stages; the columnar
-runners chain a :class:`~repro.columnar.plan.ColumnarPlan` that stays in the
-columnar layout until the explicit ``.to_rows()`` boundary.  The results are
-bit-identical; ``benchmarks/smoke_backends.py`` asserts it and
-``benchmarks/bench_pipeline_ops.py`` / the ``pipeline`` / ``groupby`` /
-``multiwindow`` / ``equijoin`` harness ids measure the speedups.
+The contenders that run these plans, and the gates they must pass, are
+declared once in :mod:`repro.workloads.registry`.
 """
 
 from __future__ import annotations
@@ -53,25 +41,14 @@ __all__ = [
     "MULTIWINDOW_FIRST",
     "MULTIWINDOW_SECOND",
     "pipeline_inputs",
-    "run_pipeline_python",
-    "run_pipeline_columnar",
-    "run_groupby_pipeline_python",
-    "run_groupby_pipeline_columnar",
     "multiwindow_inputs",
     "multiwindow_second_threshold",
     "run_multiwindow_python",
     "run_multiwindow_columnar",
-    "run_multiwindow_roundtrip_columnar",
     "equijoin_inputs",
-    "run_equijoin_python",
-    "run_equijoin_columnar",
     "rangejoin_inputs",
-    "run_rangejoin_python",
-    "run_rangejoin_columnar",
     "FACTJOIN_WINDOW",
     "factjoin_inputs",
-    "run_factjoin_python",
-    "run_factjoin_columnar",
 ]
 
 #: Terminal stage of the pipeline: a trailing sum over the order attribute.
@@ -110,36 +87,6 @@ def pipeline_inputs(
     return fact, dim, config.domain // 2
 
 
-def run_pipeline_python(fact: AURelation, dim: AURelation, threshold: int) -> AURelation:
-    """The plan on the tuple-at-a-time backend (row-major between stages)."""
-    from repro.core.operators import join, project, select
-    from repro.window.native import window_native
-
-    filtered = select(fact, attr("v").ge(const(threshold)))
-    joined = join(filtered, dim, on=["g"])
-    projected = project(joined, ["o", "v"])
-    return window_native(projected, PIPELINE_WINDOW)
-
-
-def run_pipeline_columnar(fact, dim, threshold: int, *, workers: int | None = None) -> AURelation:
-    """The identical plan as a columnar chain (row-major only at the boundary).
-
-    Accepts either relation layout for both inputs (benchmarks pre-convert).
-    ``workers`` selects the partitioned parallel executor (``None`` reads
-    ``REPRO_WORKERS``); sharded runs stay bit-identical.
-    """
-    from repro.columnar.plan import ColumnarPlan
-
-    return (
-        ColumnarPlan(fact, workers=workers)
-        .select(attr("v").ge(const(threshold)))
-        .join(ColumnarPlan(dim), on=["g"])
-        .project(["o", "v"])
-        .window(PIPELINE_WINDOW)
-        .to_rows()
-    )
-
-
 #: Grouped-aggregation stage of the groupby pipeline (per dimension category).
 GROUPBY_AGGREGATES = (("sum", "v", "s"), ("count", "*", "n"), ("max", "v", "peak"))
 
@@ -147,38 +94,6 @@ GROUPBY_AGGREGATES = (("sum", "v", "s"), ("count", "*", "n"), ("max", "v", "peak
 GROUPBY_WINDOW = WindowSpec(
     function="sum", attribute="s", output="rolling", order_by=("g",), frame=(-2, 0)
 )
-
-
-def run_groupby_pipeline_python(fact: AURelation, dim: AURelation, threshold: int) -> AURelation:
-    """``select → join → groupby → window`` on the tuple-at-a-time backend."""
-    from repro.core.operators import groupby_aggregate, join, select
-    from repro.window.native import window_native
-
-    filtered = select(fact, attr("v").ge(const(threshold)))
-    joined = join(filtered, dim, on=["g"])
-    grouped = groupby_aggregate(joined, ["g"], GROUPBY_AGGREGATES)
-    return window_native(grouped, GROUPBY_WINDOW)
-
-
-def run_groupby_pipeline_columnar(
-    fact, dim, threshold: int, *, workers: int | None = None
-) -> AURelation:
-    """The identical plan as a columnar chain — the groupby stage stays columnar.
-
-    Accepts either relation layout for both inputs (benchmarks pre-convert).
-    ``workers`` selects the partitioned parallel executor (``None`` reads
-    ``REPRO_WORKERS``); sharded runs stay bit-identical.
-    """
-    from repro.columnar.plan import ColumnarPlan
-
-    return (
-        ColumnarPlan(fact, workers=workers)
-        .select(attr("v").ge(const(threshold)))
-        .join(ColumnarPlan(dim), on=["g"])
-        .groupby_aggregate(["g"], GROUPBY_AGGREGATES)
-        .window(GROUPBY_WINDOW)
-        .to_rows()
-    )
 
 
 #: First window of the multi-window pipeline: a trailing sum over ``o``.
@@ -255,29 +170,6 @@ def run_multiwindow_columnar(
     )
 
 
-def run_multiwindow_roundtrip_columnar(fact, dim, threshold: int) -> AURelation:
-    """The same columnar kernels, but materialising rows after *every* stage.
-
-    The pre-refactor execution model: each ``backend="columnar"`` call
-    converts its input to columnar and its result back to row-major, so the
-    plan pays a full round trip per stage.  Benchmarked against
-    :func:`run_multiwindow_columnar` to isolate the conversion cost the
-    chained plan removes (the ``multiwindow`` harness id).
-    """
-    from repro.core.operators import join, select
-    from repro.window.native import window_native
-
-    filtered = select(fact, attr("v").ge(const(threshold)), backend="columnar")
-    joined = join(filtered, dim, on=["g"], backend="columnar")
-    first = window_native(joined, MULTIWINDOW_FIRST, backend="columnar")
-    spiky = select(
-        first,
-        attr("w1").ge(const(multiwindow_second_threshold(threshold))),
-        backend="columnar",
-    )
-    return window_native(spiky, MULTIWINDOW_SECOND, backend="columnar")
-
-
 def equijoin_inputs(rows: int, *, seed: int = 0) -> tuple[AURelation, AURelation]:
     """Two ``rows``-sized relations with certain integer keys, ~50% overlap.
 
@@ -301,30 +193,6 @@ def equijoin_inputs(rows: int, *, seed: int = 0) -> tuple[AURelation, AURelation
     for key in right_keys:
         right.add_values([key, rng.randint(0, 1000)], 1)
     return left, right
-
-
-def run_equijoin_python(left: AURelation, right: AURelation) -> AURelation:
-    from repro.core.operators import join
-
-    return join(left, right, on=["k"])
-
-
-def run_equijoin_columnar(
-    left, right, *, method: str = "auto", workers: int | None = None
-) -> AURelation:
-    """Columnar equi-join via the selected pair-enumeration kernel.
-
-    ``workers`` selects the partitioned parallel executor for both the join
-    kernel and the row-major plan boundary (``None`` reads ``REPRO_WORKERS``).
-    """
-    from repro.columnar import operators as col_ops
-    from repro.columnar.parallel import resolve_workers
-    from repro.columnar.relation import as_columnar
-
-    workers = resolve_workers(workers)
-    return col_ops.join(
-        as_columnar(left), as_columnar(right), on=["k"], method=method, workers=workers
-    ).to_relation(workers=workers)
 
 
 def rangejoin_inputs(rows: int, *, seed: int = 0) -> tuple[AURelation, AURelation]:
@@ -356,31 +224,6 @@ def rangejoin_inputs(rows: int, *, seed: int = 0) -> tuple[AURelation, AURelatio
         key = RangeValue(base, base + rng.randint(0, width), base + width)
         right.add_values([key, rng.randint(0, 1000)], 1)
     return left, right
-
-
-def run_rangejoin_python(left: AURelation, right: AURelation) -> AURelation:
-    from repro.core.operators import join
-
-    return join(left, right, on=["k"])
-
-
-def run_rangejoin_columnar(
-    left, right, *, method: str = "auto", workers: int | None = None
-) -> AURelation:
-    """Columnar range×range join via the selected pair-enumeration kernel.
-
-    ``method="auto"`` (and ``"sweep"``) enumerate only the possibly
-    overlapping ``[lb, ub]×[lb, ub]`` candidate pairs; ``method="grid"``
-    forces the quadratic contender for the differential cross-check.
-    """
-    from repro.columnar import operators as col_ops
-    from repro.columnar.parallel import resolve_workers
-    from repro.columnar.relation import as_columnar
-
-    workers = resolve_workers(workers)
-    return col_ops.join(
-        as_columnar(left), as_columnar(right), on=["k"], method=method, workers=workers
-    ).to_relation(workers=workers)
 
 
 #: Terminal stage of the factorised-join chain: a trailing sum of the fact
@@ -425,44 +268,3 @@ def factjoin_inputs(
     for key in right_keys:
         right.add_values([key, rng.randint(0, 100)], 1)
     return left, right, 50, 60
-
-
-def run_factjoin_python(
-    left: AURelation, right: AURelation, v_threshold: int, w_threshold: int
-) -> AURelation:
-    """The select → join → select → window chain on the Python backend."""
-    from repro.core.operators import join, select
-    from repro.window.native import window_native
-
-    filtered = select(left, attr("v").ge(const(v_threshold)))
-    joined = join(filtered, right, on=["k"])
-    narrowed = select(joined, attr("w").lt(const(w_threshold)))
-    return window_native(narrowed, FACTJOIN_WINDOW)
-
-
-def run_factjoin_columnar(
-    left,
-    right,
-    v_threshold: int,
-    w_threshold: int,
-    *,
-    method: str = "auto",
-    workers: int | None = None,
-) -> AURelation:
-    """The identical chain as a columnar plan (factorised between stages).
-
-    With ``method="auto"`` the join stage keeps the result factorised —
-    matched-pair index vectors, no payload gather — and the downstream
-    select / window stages push down into it; only ``.to_rows()`` expands.
-    ``method="grid"`` forces the eager ``O(|L|·|R|)`` pair-grid contender.
-    """
-    from repro.columnar.plan import ColumnarPlan
-
-    return (
-        ColumnarPlan(left, workers=workers)
-        .select(attr("v").ge(const(v_threshold)))
-        .join(ColumnarPlan(right), on=["k"], method=method)
-        .select(attr("w").lt(const(w_threshold)))
-        .window(FACTJOIN_WINDOW)
-        .to_rows()
-    )

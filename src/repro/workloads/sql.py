@@ -14,10 +14,10 @@ narrows the scans), then GROUP BY / ORDER BY / LIMIT on top:
     GROUP BY o.g
     ORDER BY total DESC LIMIT 8
 
-``run_sql_unoptimized`` executes the literal lowering — grid join, filter
-above the pairs, no pruning — so optimized-vs-unoptimized brackets exactly
-what the rules buy; ``run_sql_python`` is the row-at-a-time oracle all
-results must match bit-for-bit.
+The ``sql`` workload of :mod:`repro.workloads.registry` runs it three ways:
+optimized, as the literal lowering (grid join, filter above the pairs, no
+pruning — so the two bracket exactly what the rules buy), and on the
+row-at-a-time python oracle all results must match bit-for-bit.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ from repro.core.relation import AURelation
 __all__ = [
     "SQL_SCALING_QUERY",
     "sql_catalog",
-    "run_sql_optimized",
-    "run_sql_unoptimized",
-    "run_sql_python",
-    "sql_join_kernels",
 ]
 
 SQL_SCALING_QUERY = (
@@ -84,33 +80,3 @@ def sql_catalog(rows: int, *, seed: int = 0) -> dict[str, AURelation]:
             1,
         )
     return {"orders": orders, "parts": parts}
-
-
-def run_sql_optimized(catalog: dict, *, workers: int | None = None) -> AURelation:
-    """The scaling query through the full rule pipeline (columnar backend)."""
-    from repro.sql import run_sql
-
-    return run_sql(SQL_SCALING_QUERY, catalog, workers=workers)
-
-
-def run_sql_unoptimized(catalog: dict, *, workers: int | None = None) -> AURelation:
-    """The literal lowering: grid join, no pushdown, no pruning."""
-    from repro.sql import run_sql
-
-    return run_sql(SQL_SCALING_QUERY, catalog, optimize=False, workers=workers)
-
-
-def run_sql_python(catalog: dict) -> AURelation:
-    """The row-at-a-time reference execution (the differential oracle)."""
-    from repro.sql import run_sql
-
-    return run_sql(SQL_SCALING_QUERY, catalog, backend="python")
-
-
-def sql_join_kernels(catalog: dict) -> tuple[str, ...]:
-    """The pair-enumeration kernels the optimized query's joins resolve to."""
-    from repro.sql import compile_sql
-
-    compiled = compile_sql(SQL_SCALING_QUERY, catalog)
-    compiled.run()
-    return compiled.join_kernels

@@ -24,8 +24,11 @@ from repro.columnar.kernels import (
     possibly_precedes_counts,
     possibly_precedes_matrix,
 )
+from repro.columnar.plan import ColumnarPlan
 from repro.columnar.relation import ColumnarAURelation
+from repro.core.ranges import RangeValue
 from repro.core.relation import AURelation
+from repro.errors import OperatorError
 from repro.ranking.native import sort_native
 from repro.ranking.semantics import sort_rewrite
 from repro.ranking.topk import topk
@@ -98,6 +101,33 @@ def test_pruned_sort_backends_agree(relation, k, descending):
         values: mult for values, mult in full._rows.items() if values[pos_idx].lb < k
     }
     assert native._rows == expected
+
+
+#: Non-order-by columns mixing ``int`` and ``str``: the first never compares
+#: the two (only rows with different keys carry them), so every path sorts;
+#: in the second a tie on ``a`` reaches ``5`` vs ``"x"``, so every path raises.
+MIXED_TYPE_TIEBREAKERS = [
+    ([((1, 5), 1), ((2, "x"), 1), ((RangeValue(0, 1, 3), 7), 1)], None),
+    ([((1, 5), 1), ((1, "x"), 1)], OperatorError),
+]
+
+
+@pytest.mark.parametrize(("rows", "error"), MIXED_TYPE_TIEBREAKERS)
+def test_mixed_type_tiebreakers_agree_across_backends(rows, error):
+    relation = AURelation.from_rows(["a", "b"], rows)
+    paths = [
+        lambda: sort_native(relation, ["a"]),
+        lambda: sort_native(relation, ["a"], backend="columnar"),
+        lambda: ColumnarPlan(relation).sort(["a"]).to_rows(),
+    ]
+    if error is not None:
+        for path in paths:
+            with pytest.raises(error):
+                path()
+        return
+    reference = sort_rewrite(relation, ["a"])
+    for path in paths:
+        assert_same_relation(path(), reference)
 
 
 @settings(max_examples=100, deadline=None)

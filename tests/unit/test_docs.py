@@ -28,6 +28,7 @@ DOCTEST_MODULES = [
     "repro.sql.tokenizer",
     "repro.sql.parser",
     "repro.sql.ast",
+    "repro.workloads.registry",
 ]
 
 #: Modules needing NumPy (skipped, not failed, when it is unavailable).

@@ -105,17 +105,17 @@ class TestExperimentsRegistry:
 
     def test_groupby_pipeline_driver_runs_small(self):
         pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
-        from repro.harness.figures import groupby_pipeline_scaling
+        from repro.harness.figures import plan_scaling
 
-        result = groupby_pipeline_scaling(sizes=(16, 32), seed=1)
+        result = plan_scaling("groupby", sizes=(16, 32), seed=1)
         assert len(result.rows) == 2
         assert all(len(row) == 4 for row in result.rows)
 
     def test_equijoin_driver_runs_small_and_caps_quadratic_kernels(self):
         pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
-        from repro.harness.figures import equijoin_scaling
+        from repro.harness.figures import plan_scaling
 
-        result = equijoin_scaling(sizes=(16, 64), quadratic_ceiling=16, seed=1)
+        result = plan_scaling("equijoin", sizes=(16, 64), quadratic_ceiling=16, seed=1)
         assert len(result.rows) == 2
         small, large = result.rows
         assert small[1] != "-" and small[2] != "-"
@@ -123,9 +123,9 @@ class TestExperimentsRegistry:
 
     def test_rangejoin_driver_runs_small_and_caps_quadratic_kernels(self):
         pytest.importorskip("numpy", reason="the columnar backend requires NumPy")
-        from repro.harness.figures import rangejoin_scaling
+        from repro.harness.figures import plan_scaling
 
-        result = rangejoin_scaling(sizes=(16, 64), quadratic_ceiling=16, seed=1)
+        result = plan_scaling("rangejoin", sizes=(16, 64), quadratic_ceiling=16, seed=1)
         assert len(result.rows) == 2
         small, large = result.rows
         assert small[1] != "-" and small[2] != "-"
