@@ -5,7 +5,9 @@ Used by CI to catch two regressions fast, without the full benchmark suite:
 * **divergence and gate failures** — always fatal.  The sort, top-k and
   window paths (including following-only frames, which exercise the
   mirrored-order reduction) must agree across the python backend, the
-  columnar backend and the definitional rewrite.  Every plan workload of
+  columnar backend and the definitional rewrite, and one fixed window input
+  above the sweep's pair budget must agree with the python backend without
+  enumerating a single (row, frame-member) pair.  Every plan workload of
   :mod:`repro.workloads.registry` runs through its declared gates: each
   contender agrees with the reference row for row, the count and kernel
   gates hold, and — with ``REPRO_WORKERS`` above 1 — the sharded run of
@@ -140,6 +142,62 @@ def smoke_window(rows: int) -> int:
     return failures
 
 
+def smoke_window_above_budget(rows: int = 2100) -> int:
+    """One window input whose possible (row, frame-member) pairs exceed the
+    sweep's pair budget, so the columnar backend answers it from the
+    quadrant tree; gated bit-for-bit against the python backend.
+
+    Every order-by range is ``0.8 * rows`` wide, so every row's position
+    interval overlaps every other one: ``rows**2`` possible pairs, 4.41M at
+    the default 2100 rows.  A spy on ``FrameMemberIndex.member_pairs``
+    fails the gate if any pair was enumerated.
+    """
+    import random
+    from unittest import mock
+
+    from repro.columnar import window as col_window
+    from repro.columnar.kernels import FrameMemberIndex
+    from repro.core.ranges import RangeValue
+    from repro.core.relation import AURelation
+
+    rng = random.Random(0)
+    spread = int(0.8 * rows)
+    audb = AURelation.from_rows(
+        ["o", "v"],
+        [
+            ((RangeValue(i, rng.randint(i, i + spread), i + spread), rng.randint(-9, 9)),
+             (1 if i % 3 else 0, 1, 1))
+            for i in range(rows)
+        ],
+    )
+    columnar = ColumnarAURelation.from_relation(audb)
+    spec = WindowSpec(function="sum", attribute="v", output="w", order_by=("o",), frame=(-2, 0))
+    with mock.patch.object(
+        FrameMemberIndex, "member_pairs", side_effect=AssertionError("pairs enumerated")
+    ), mock.patch.object(col_window, "_tree_bounds", wraps=col_window._tree_bounds) as tree:
+        start = time.perf_counter()
+        columnar_result = window_native(columnar, spec, backend="columnar")
+        columnar_ms = (time.perf_counter() - start) * 1000.0
+    start = time.perf_counter()
+    python_result = window_native(audb, spec)
+    python_ms = (time.perf_counter() - start) * 1000.0
+    print(
+        f"window-above-budget rows={rows}: python={python_ms:.2f}ms "
+        f"columnar={columnar_ms:.2f}ms tree_calls={tree.call_count}"
+    )
+    failures = 0
+    if tree.call_count != 1:
+        print("FAIL: window above the pair budget did not take the quadrant tree")
+        failures += 1
+    if not (
+        python_result.schema == columnar_result.schema
+        and python_result._rows == columnar_result._rows
+    ):
+        print("FAIL: window above the pair budget diverges from the python backend")
+        failures += 1
+    return failures
+
+
 def smoke_workloads(rows: int) -> int:
     """Every plan workload of the registry: its gates, timings and speedup floors.
 
@@ -172,7 +230,9 @@ def smoke_workloads(rows: int) -> int:
 
 
 def main(rows: int = 200) -> int:
-    failures = smoke_sort(rows) + smoke_window(rows) + smoke_workloads(rows)
+    failures = (
+        smoke_sort(rows) + smoke_window(rows) + smoke_window_above_budget() + smoke_workloads(rows)
+    )
     if not failures:
         print("OK: backends agree bit-for-bit")
     return failures

@@ -11,13 +11,16 @@ native operators with vectorized kernels:
 * selected-guess positions under the total order ``<ᵗᵒᵗᵃˡ_O``,
 * the batched emission schedule that replaces per-tuple heap feeding in
   the one-pass sort / top-k sweep,
-* the window sweep: frame membership as a position-sorted searchsorted
-  pair sweep (:class:`~repro.columnar.kernels.FrameMemberIndex`, the Fig. 6
-  containment / overlap conditions as range queries per interval-width
-  bucket), grouped min-k / max-k aggregate bounds, and rolling
-  selected-guess aggregates (prefix sums / sliding extrema), with the same
-  mirrored-order reduction for ``CURRENT ROW AND N FOLLOWING`` frames as
-  the native sweep, and
+* the window sweep: frame aggregates answered from a merge-sort tree over
+  the duplicates' position intervals
+  (:class:`~repro.columnar.kernels.FrameQuadrantTree`, the Fig. 6 overlap
+  condition as a quadrant query: ``O(log m)`` binary searches per frame,
+  no enumeration of possible members) — or, while they fit the pair
+  budget, grouped min-k / max-k reductions over the enumerated (query,
+  member) pairs (:class:`~repro.columnar.kernels.FrameMemberIndex`) — and
+  rolling selected-guess aggregates (prefix sums / sliding extrema), with
+  the same mirrored-order reduction for ``CURRENT ROW AND N FOLLOWING``
+  frames as the native sweep, and
 * the ``RA⁺`` operators of Fig. 2 (:mod:`repro.columnar.operators`):
   bound-preserving select / project / extend / rename / union / distinct /
   cross / join / groupby_aggregate, with predicates and scalar expressions

@@ -63,7 +63,6 @@ from repro.columnar.relation import (
     AttributeColumn,
     ColumnarAURelation,
     as_columnar,
-    concat_relations,
 )
 from repro.core.booleans import RangeBool
 from repro.core.expressions import Expression
@@ -275,15 +274,13 @@ class FactorisedAURelation:
 
     # -- materialisation ------------------------------------------------------
 
-    def expand(self, *, workers: int = 1) -> ColumnarAURelation:
+    def expand(self) -> ColumnarAURelation:
         """The expanded columnar relation — the single materialisation point.
 
         Bit-identical to running the eager pipeline: columns gather in schema
         order through the product enumeration, multiplicities multiply
         pointwise.  A trivial wrapper (one simple group over the full schema)
-        returns its fragment with zero copies.  With ``workers > 1`` the pair
-        range splits into contiguous blocks expanded on the forked worker
-        pool; block-order concatenation reproduces the serial row order.
+        returns its fragment with zero copies.
         """
         if len(self.groups) == 1 and self.groups[0].is_simple:
             fragment = self.groups[0].fragments[0]
@@ -291,22 +288,11 @@ class FactorisedAURelation:
                 return fragment
             return fragment.restrict(list(self.schema))
         n = len(self)
-        blocks = pair_blocks(n, workers)
-        if len(blocks) > 1:
-            return concat_relations(
-                parallel_map(
-                    lambda block: self._expand_block(*block), blocks, workers=workers
-                )
-            )
-        return self._expand_block(0, n)
-
-    def _expand_block(self, start: int, stop: int) -> ColumnarAURelation:
-        n = stop - start
         _record(n * (len(self.schema.attributes) + 1))
         if n == 0:
             group_rows = [np.empty(0, dtype=np.int64) for _ in self.groups]
         else:
-            pair = np.arange(start, stop, dtype=np.int64)
+            pair = np.arange(n, dtype=np.int64)
             strides = self._strides()
             group_rows = []
             for g, group in enumerate(self.groups):
@@ -335,12 +321,9 @@ class FactorisedAURelation:
         assert mult_lb is not None and mult_sg is not None and mult_ub is not None
         return ColumnarAURelation(self.schema, columns, mult_lb, mult_sg, mult_ub)
 
-    def to_relation(self, *, workers: int = 1) -> AURelation:
+    def to_relation(self) -> AURelation:
         """Row-major boundary conversion (expand, then merge zero/equal rows)."""
-        expanded = self.expand(workers=workers)
-        if workers > 1:
-            return expanded.to_relation(workers=workers)
-        return expanded.to_relation()
+        return self.expand().to_relation()
 
     # -- gathering ------------------------------------------------------------
 

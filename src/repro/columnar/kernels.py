@@ -58,6 +58,7 @@ __all__ = [
     "possible_frame_members",
     "expand_ranges",
     "FrameMemberIndex",
+    "FrameQuadrantTree",
     "sliding_window_sums",
     "sliding_window_extrema",
 ]
@@ -632,10 +633,14 @@ class FrameMemberIndex:
     array — no per-bucket Python loop.
     """
 
-    __slots__ = ("preceding", "_members", "_widths", "_shifted_lb", "_base", "_stride")
+    __slots__ = (
+        "preceding", "_members", "_widths", "_shifted_lb", "_base", "_stride",
+        "_pos_lb", "_pos_ub",
+    )
 
     def __init__(self, pos_lb: np.ndarray, pos_ub: np.ndarray, preceding: int):
         self.preceding = preceding
+        self._pos_lb, self._pos_ub = pos_lb, pos_ub
         width = pos_ub - pos_lb
         if len(width) == 0:
             self._members = np.empty(0, dtype=np.int64)
@@ -698,17 +703,15 @@ class FrameMemberIndex:
     def pair_counts(self, q_lb: np.ndarray, q_ub: np.ndarray) -> np.ndarray:
         """Per query: how many duplicates possibly fall into its frame.
 
-        Used to budget the sweep's memory (queries are chunked so the
-        materialised pair list stays bounded).
+        Two binary searches per query, no width buckets: the members failing
+        ``pos_ub[e] >= q_lb - N`` all have ``pos_lb[e] <= pos_ub[e] < q_lb - N
+        <= q_ub``, so they are a subset of the members with ``pos_lb[e] <=
+        q_ub`` and the overlap count is a difference of two sorted-array
+        ranks.  Sizes the sweep's pair chunks and picks its kernel.
         """
-        buckets = len(self._widths)
-        totals = np.zeros(len(q_lb), dtype=np.int64)
-        if buckets == 0:
-            return totals
-        for start, stop in self._query_slices(len(q_lb)):
-            low, high = self._bucket_bounds(q_lb[start:stop], q_ub[start:stop])
-            totals[start:stop] = (high - low).reshape(buckets, stop - start).sum(axis=0)
-        return totals
+        return np.searchsorted(np.sort(self._pos_lb), q_ub, side="right") - np.searchsorted(
+            np.sort(self._pos_ub), q_lb - self.preceding, side="left"
+        )
 
     def member_pairs(
         self, q_lb: np.ndarray, q_ub: np.ndarray
@@ -741,6 +744,137 @@ class FrameMemberIndex:
         if len(query_parts) == 1:
             return query_parts[0], member_parts[0]
         return np.concatenate(query_parts), np.concatenate(member_parts)
+
+
+class FrameQuadrantTree:
+    """Merge-sort tree answering frame aggregates without enumerating members.
+
+    Duplicate ``e`` possibly falls into the frame of defining duplicate
+    ``d`` iff ``pos_lb[e] <= pos_ub[d]`` and ``pos_ub[e] >= pos_lb[d] - N``
+    (the overlap condition of Fig. 6) — a quadrant query over the points
+    ``(pos_lb[e], pos_ub[e])``.  The tree sorts the points by ``pos_lb``
+    (padded to a power of two) and keeps one level per block size ``2**l``;
+    inside each block the entries are sorted by ``pos_ub`` descending and
+    carry running aggregates.  A query's prefix ``pos_lb <= pos_ub[d]``
+    splits into at most one block per level (the set bits of its length),
+    and inside each block the entries with ``pos_ub >= pos_lb[d] - N`` are a
+    prefix found by one binary search.  All (query, level) searches run as
+    one ``np.searchsorted`` over keys shifted by a per-block stride (the
+    :class:`FrameMemberIndex` trick), so a query costs ``O(log m)`` searches
+    and never touches its members: the vectorised analogue of the
+    connected-heap window sweep (Algorithm 3, Sec. 8.2,
+    :mod:`repro.algorithms.connected_heap`).
+
+    :meth:`locate` resolves the queries once; :meth:`smallest` then answers
+    "the ``k`` smallest values in the quadrant" for any per-duplicate value
+    array (``k = 1`` gives min, negated values give max, and ``sum`` bounds
+    select from the ``frame_size`` smallest).  The running aggregates are
+    built level by level, like the merge sort the tree is named after: a
+    block's first ``p`` entries are a prefix of each of its two child
+    blocks, so each running list merges one running list of each child —
+    one ``k``-list merge per entry and level.
+
+    >>> import numpy as np
+    >>> tree = FrameQuadrantTree(np.array([0, 1, 1]), np.array([0, 2, 1]), 1)
+    >>> hits = tree.locate(np.array([2, 3]), np.array([2, 3]))
+    >>> tree.smallest(np.array([5.0, 3.0, 4.0]), 2, hits).tolist()
+    [[3.0, 4.0], [3.0, inf]]
+    """
+
+    __slots__ = ("preceding", "_sorted_lb", "_levels", "_size", "_keys", "_member",
+                 "_children", "_base", "_top", "_stride", "_block_offsets")
+
+    def __init__(self, pos_lb: np.ndarray, pos_ub: np.ndarray, preceding: int):
+        self.preceding = preceding
+        m = len(pos_lb)
+        order = np.argsort(pos_lb, kind="stable")
+        self._sorted_lb = pos_lb[order]
+        self._levels, self._size = levels, size = self.shape(m)
+        # Entries are ranked on u = -pos_ub (ascending u = pos_ub descending),
+        # normalised into [1, top]; padding takes top + 1, above every
+        # (clipped) query threshold, so it is never counted.
+        u = -pos_ub[order]
+        self._base = int(u.min()) - 1 if m else 0
+        self._top = int(u.max()) - self._base if m else 0
+        self._stride = self._top + 2
+        ku = np.full(size, self._top + 1, dtype=np.int64)
+        ku[:m] = u - self._base
+        member = np.full(size, -1, dtype=np.int64)
+        member[:m] = order
+
+        level = np.repeat(np.arange(levels, dtype=np.int64), size)
+        index = np.tile(np.arange(size, dtype=np.int64), levels)
+        self._block_offsets = np.concatenate(
+            [[0], np.cumsum(size >> np.arange(levels, dtype=np.int64))]
+        )[:-1]
+        block = self._block_offsets[level] + (index >> level)
+        perm = lexsort_stable((ku[index], block))
+        self._keys = block[perm] * self._stride + ku[index[perm]]
+        self._member = member[index[perm]]
+
+        # Per entry above level 0: the running-list rows of its two child
+        # blocks that cover the block's prefix ending at the entry (-1, the
+        # +inf row, when that prefix takes nothing from a child).  Stable
+        # sorting keeps each child's entries in the child's own order.
+        flat = np.arange(size, levels * size, dtype=np.int64)
+        level, index = level[size:], index[perm[size:]]
+        start = flat - ((flat - level * size) & ((1 << level) - 1))
+        from_left = ((index >> (level - 1)) & 1) == 0
+        taken = np.cumsum(from_left)
+        left = taken - (taken - from_left)[start - size]
+        right = flat - start + 1 - left
+        child = start - size
+        self._children = (
+            np.where(left > 0, child + left - 1, -1),
+            np.where(right > 0, child + (1 << (level - 1)) + right - 1, -1),
+        )
+
+    @staticmethod
+    def shape(m: int) -> tuple[int, int]:
+        """``(levels, padded size)`` of the tree over ``m`` duplicates; a
+        :meth:`smallest` call holds ``levels * size * k`` running values."""
+        size = 1 << max(0, m - 1).bit_length()
+        return size.bit_length(), size
+
+    def locate(self, q_lb: np.ndarray, q_ub: np.ndarray) -> np.ndarray:
+        """Per (query, level): the flat entry whose running aggregate covers
+        the query's quadrant inside that level's block, or ``-1`` (no block at
+        that level, or no entry of the block qualifies).  Shape ``(q, levels)``.
+        """
+        levels = np.arange(self._levels, dtype=np.int64)
+        count = np.searchsorted(self._sorted_lb, q_ub, side="right")[:, None] >> levels
+        block = count - 1
+        threshold = np.clip(self.preceding - q_lb - self._base, 0, self._top)[:, None]
+        keys = (self._block_offsets[levels] + block) * self._stride + threshold
+        found = np.searchsorted(self._keys, keys.ravel(), side="right").reshape(keys.shape)
+        start = levels * self._size + (block << levels)
+        return np.where((count & 1).astype(bool) & (found > start), found - 1, -1)
+
+    def smallest(self, values: np.ndarray, k: int, hits: np.ndarray) -> np.ndarray:
+        """The ``k`` smallest ``values`` in each located quadrant, ascending.
+
+        ``values`` is indexed by duplicate; ``hits`` comes from
+        :meth:`locate`.  Quadrants holding fewer than ``k`` members pad the
+        tail with ``+inf``.  Returns a ``(q, k)`` float64 array.
+        """
+        size = self._size
+        running = np.full((self._levels * size + 1, k), np.inf)
+        member = self._member[:size]  # level 0: one entry per block
+        present = member >= 0
+        running[:size, 0][present] = np.asarray(values, dtype=np.float64)[member[present]]
+        left, right = self._children
+        for level in range(1, self._levels):
+            below = slice((level - 1) * size, level * size)
+            a, b = running[left[below]], running[right[below]]
+            running[level * size:(level + 1) * size] = (
+                np.minimum(a, b) if k == 1
+                else np.sort(np.concatenate((a, b), axis=1), axis=1)[:, :k]
+            )
+        # Row -1 (the appended +inf row) answers the missing blocks.
+        candidates = running[hits].reshape(len(hits), hits.shape[1] * k)
+        if k == 1:
+            return candidates.min(axis=1, keepdims=True)
+        return np.sort(candidates, axis=1)[:, :k]
 
 
 def interval_point_match_pairs(

@@ -1,10 +1,10 @@
 """Morsel-driven multiprocessing executor for the columnar kernels.
 
 The columnar kernels partition cleanly: window sweeps split by certain
-``PARTITION BY`` groups or by query chunks, equi-joins by candidate-pair
-ranges, sort position bounds by row shards whose per-shard emission
-schedules merge by summation, and the plan boundary by output-row blocks.
-This module supplies the shared execution machinery those stages use:
+``PARTITION BY`` groups, equi-joins by candidate-pair ranges, and sort
+position bounds by row shards whose per-shard emission schedules merge by
+summation.  This module supplies the shared execution machinery those
+stages use:
 
 * :func:`resolve_workers` — the ``workers`` knob (``None`` reads the
   ``REPRO_WORKERS`` environment variable; ``1`` means serial);
@@ -13,10 +13,6 @@ This module supplies the shared execution machinery those stages use:
   not straggle behind a static assignment.  Inputs reach the workers
   through fork's copy-on-write page sharing (no pickling of the column
   arrays); results return pickled, in task order;
-* :func:`shared_arrays` — shared-memory output buffers so forked workers
-  can write result blocks directly into the parent's arrays (used by the
-  window sweep, whose chunk outputs would otherwise round-trip through the
-  result pipe);
 * :func:`shard_ranges` / :func:`morsel_count` — contiguous shard layout
   helpers shared by every sharded stage.
 
@@ -44,9 +40,7 @@ import os
 import pickle
 import queue as queue_module
 import warnings
-from typing import Callable, Iterable, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, Iterable, TypeVar
 
 from repro.errors import ParallelError
 
@@ -58,7 +52,6 @@ __all__ = [
     "morsel_count",
     "pair_blocks",
     "parallel_map",
-    "shared_arrays",
 ]
 
 T = TypeVar("T")
@@ -176,9 +169,9 @@ def pair_blocks(n: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous pair-range morsels for a stage sharded over ``n`` pair rows.
 
     The factorised layer (:mod:`repro.columnar.factorised`) shards its
-    expansion blocks and join-predicate evaluation over logical pair ranges
-    with this layout; contiguity plus block-order concatenation is what
-    keeps ``workers=N`` bit-identical to the serial path.  ``workers <= 1``
+    join-predicate evaluation over logical pair ranges with this layout;
+    contiguity plus block-order concatenation is what keeps ``workers=N``
+    bit-identical to the serial path.  ``workers <= 1``
     (or a single row) yields one block covering everything, so serial runs
     take the exact single-shard code path.
     """
@@ -261,7 +254,13 @@ def parallel_map(
         for process in processes:
             if process.pid is not None:
                 process.join()
+        # Join the task queue's feeder thread: a feeder still alive (and
+        # possibly holding its lock) at the next fork would be inherited by
+        # those workers, which can then block forever.  The parent is the
+        # queue's only writer and its payloads are a few small ints, so the
+        # join is immediate.
         task_queue.close()
+        task_queue.join_thread()
         result_queue.close()
 
 
@@ -305,26 +304,3 @@ def _worker_loop(fn, tasks, task_queue, result_queue) -> None:
             result_queue.put(payload)
             return
         result_queue.put(payload)
-
-
-def shared_arrays(*specs: tuple[int, object]) -> list[np.ndarray]:
-    """One-dimensional output arrays in anonymous shared memory.
-
-    Each ``(length, dtype)`` spec becomes a numpy array backed by an
-    anonymous shared mapping (``mmap.mmap(-1, ...)`` — the same kernel
-    facility ``multiprocessing.shared_memory`` wraps, minus the filesystem
-    name, so there is no segment to unlink and no exported-buffer teardown
-    hazard).  Allocated before the pool forks, the mapping is inherited by
-    every worker: a worker writing ``arrays[j][start:stop]`` fills the
-    parent's array directly, so result blocks never round-trip through the
-    result queue.  The arrays own their mapping — ordinary garbage
-    collection reclaims the memory.
-    """
-    import mmap
-
-    arrays = []
-    for length, dtype in specs:
-        nbytes = max(1, int(length) * np.dtype(dtype).itemsize)
-        mapping = mmap.mmap(-1, nbytes)
-        arrays.append(np.frombuffer(mapping, dtype=dtype, count=int(length)))
-    return arrays

@@ -150,16 +150,8 @@ class ColumnarPlan:
         """
         relation = self._relation
         if isinstance(relation, FactorisedAURelation):
-            relation = relation.expand(
-                workers=self._workers if self._workers > 1 else 1
-            )
-        # Serial plans call to_relation() exactly as before the parallel
-        # executor existed (the no-argument form is part of the boundary's
-        # observable contract — conversion spies in the test suite rely on it).
-        if self._workers > 1:
-            result = relation.to_relation(workers=self._workers)
-        else:
-            result = relation.to_relation()
+            relation = relation.expand()
+        result = relation.to_relation()
         boundary = _MaterialisedPlanResult(result.schema)
         boundary._rows = result._rows
         return boundary

@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.multiplicity import Multiplicity
+from repro.core.multiplicity import ZERO, Multiplicity
 from repro.core.ranges import RangeValue, Scalar
 from repro.core.relation import AURelation
 from repro.core.schema import Schema
@@ -135,10 +135,19 @@ class AttributeColumn:
         """Reconstruct the range value of one row."""
         return RangeValue(_item(self.lb[row]), _item(self.sg[row]), _item(self.ub[row]))
 
+    def values(self) -> list[RangeValue]:
+        """Reconstruct the range values of every row (``value`` over the column)."""
+        return list(map(RangeValue, _items(self.lb), _items(self.sg), _items(self.ub)))
+
 
 def _item(value: object) -> Scalar:
     """Unwrap a NumPy scalar back to the corresponding Python scalar."""
     return value.item() if isinstance(value, np.generic) else value  # type: ignore[return-value]
+
+
+def _items(arr: np.ndarray) -> list:
+    """:func:`_item` over a whole array (``tolist`` unwraps numeric dtypes)."""
+    return arr.tolist() if arr.dtype != object else [_item(v) for v in arr.tolist()]
 
 
 class ColumnarAURelation:
@@ -195,57 +204,29 @@ class ColumnarAURelation:
             _values=values,
         )
 
-    def to_relation(self, *, workers: int = 1) -> AURelation:
+    def to_relation(self) -> AURelation:
         """Convert back to the row-major layout (tuples with equal hypercubes merge).
 
-        With ``workers > 1`` the conversion shards by output-row blocks:
-        rows with the semiring-zero annotation are dropped and equal
-        hypercubes are merged columnar-side first (both exactly as
-        :meth:`AURelation.add` would), so the surviving rows are distinct
-        by construction and the forked workers can build their blocks'
-        range-value tuples independently; the parent fills the row
-        dictionary in block order.  Bit-identical to the serial loop —
-        pinned by the sharded-vs-unsharded differential property.
+        Rows are added in order exactly as :meth:`AURelation.add` would
+        (zero annotations skipped, equal hypercubes summed), from whole
+        columns converted to Python scalars at once.
         """
-        if workers > 1 and len(self) > 1:
-            return self._to_relation_sharded(workers)
         out = AURelation(self.schema)
-        for i in range(len(self)):
-            out.add(
-                AUTuple(self.schema, self.row_values(i)),
-                Multiplicity(int(self.mult_lb[i]), int(self.mult_sg[i]), int(self.mult_ub[i])),
-            )
-        return out
-
-    def _to_relation_sharded(self, workers: int) -> AURelation:
-        from repro.columnar.operators import merge_equal_rows
-        from repro.columnar.parallel import morsel_count, parallel_map, shard_ranges
-
-        relation = self
-        zero = (relation.mult_lb == 0) & (relation.mult_sg == 0) & (relation.mult_ub == 0)
-        if bool(zero.any()):
-            # AURelation.add skips exactly-zero annotations; replicate before
-            # merging so a zero row can neither survive nor absorb a merge.
-            relation = relation.mask(~zero)
-        merged = merge_equal_rows(relation)
-        mult_lb, mult_sg, mult_ub = merged.mult_lb, merged.mult_sg, merged.mult_ub
-
-        def build_block(block: tuple[int, int]) -> list:
-            start, stop = block
-            return [
-                (
-                    merged.row_values(i),
-                    Multiplicity(int(mult_lb[i]), int(mult_sg[i]), int(mult_ub[i])),
-                )
-                for i in range(start, stop)
-            ]
-
-        blocks = shard_ranges(len(merged), morsel_count(workers))
-        out = AURelation(merged.schema)
+        if self._values is not None:
+            values = self._values
+        elif self.columns:
+            values = list(zip(*(column.values() for column in self.columns)))
+        else:
+            values = [()] * len(self)
         rows = out._rows
-        for part in parallel_map(build_block, blocks, workers=workers):
-            for values, mult in part:
-                rows[values] = mult
+        for key, lb, sg, ub in zip(
+            values, self.mult_lb.tolist(), self.mult_sg.tolist(), self.mult_ub.tolist()
+        ):
+            mult = Multiplicity(lb, sg, ub)
+            if mult == ZERO:
+                continue
+            existing = rows.get(key)
+            rows[key] = mult if existing is None else existing.add(mult)
         return out
 
     def take(self, indices: Sequence[int] | np.ndarray) -> "ColumnarAURelation":
@@ -376,11 +357,7 @@ class ColumnarAURelation:
         """
         values = None
         if self._values is not None:
-            lb, sg, ub = column.lb.tolist(), column.sg.tolist(), column.ub.tolist()
-            values = [
-                base + (RangeValue(lb[i], sg[i], ub[i]),)
-                for i, base in enumerate(self._values)
-            ]
+            values = [base + (value,) for base, value in zip(self._values, column.values())]
         return ColumnarAURelation(
             self.schema.extend(column.name),
             self.columns + (column,),

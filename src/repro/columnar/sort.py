@@ -162,4 +162,4 @@ def sort_columnar(
         position_attribute=position_attribute,
         descending=descending,
         workers=workers,
-    ).to_relation(workers=workers)
+    ).to_relation()

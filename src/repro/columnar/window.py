@@ -26,18 +26,27 @@ The kernel sweep:
 
 * sort-position bound triples come from the prefix-sum kernels of
   :mod:`repro.columnar.kernels` (Equations 1-3),
-* duplicates are expanded in bulk (:func:`~repro.columnar.kernels.duplicate_offsets`)
-  and frame membership is resolved with a position-sorted searchsorted sweep
-  (:class:`~repro.columnar.kernels.FrameMemberIndex`): candidates bucketed by
-  position-interval width turn the Fig. 6 containment / overlap conditions
-  into contiguous range queries, so only the *actual* (query, member) pairs
-  are ever materialised (chunked to bound peak memory) instead of the
-  quadratic query x candidate mask grid,
-* aggregate bounds are grouped reductions over those pairs — ``bincount``
-  sums for the certain members and a segmented k-pass selection
-  (``np.minimum.at`` per pass, no sort of the pair list) for the min-k /
-  max-k possible contributions of ``sum`` (at most ``frame_size - 1``
-  candidates ever matter), and
+* duplicates are expanded in bulk (:func:`~repro.columnar.kernels.duplicate_offsets`);
+  duplicate ``e`` possibly falls into ``d``'s frame when its position
+  interval overlaps the positions the frame may cover (Fig. 6), and
+  :meth:`~repro.columnar.kernels.FrameMemberIndex.pair_counts` counts those
+  members exactly with two binary searches per duplicate,
+* sweeps whose possible (query, member) pairs fit ``_PAIR_BUDGET``
+  materialise them (:class:`~repro.columnar.kernels.FrameMemberIndex`:
+  candidates bucketed by position-interval width turn the overlap
+  condition into contiguous range queries) and reduce them per query —
+  ``bincount`` sums for the certain members and a segmented k-pass
+  selection for the min-k / max-k possible contributions of ``sum`` (at
+  most ``frame_size - 1`` candidates ever matter),
+* larger sweeps never enumerate the pairs: a merge-sort tree over the
+  position intervals (:class:`~repro.columnar.kernels.FrameQuadrantTree`)
+  answers every frame's minimum, maximum and ``frame_size`` smallest
+  member values with ``O(log m)`` binary searches, the vectorised analogue
+  of the paper's connected-heap sweep; only the few certain members
+  (intervals at most ``N`` wide) are still enumerated.  ``sum`` frames
+  whose tree would exceed the budget stream the pairs in chunks instead,
+* the two paths are bit-identical (the pair path is the differential
+  cross-check of the tree), and
 * the selected-guess aggregate is a deterministic rolling computation over
   the selected-guess order (prefix sums for ``sum`` / ``count`` / ``avg``,
   sliding extrema for ``min`` / ``max``).
@@ -75,13 +84,14 @@ import numpy as np
 
 from repro.columnar.kernels import (
     FrameMemberIndex,
+    FrameQuadrantTree,
     duplicate_offsets,
     lexsort_stable,
     sliding_window_extrema,
     sliding_window_sums,
     sort_position_bounds_ranked,
 )
-from repro.columnar.parallel import morsel_count, parallel_map, shard_ranges, shared_arrays
+from repro.columnar.parallel import morsel_count, parallel_map
 from repro.columnar.relation import (
     AttributeColumn,
     ColumnarAURelation,
@@ -95,8 +105,9 @@ from repro.window.spec import WindowSpec
 
 __all__ = ["window_stage", "window_columnar"]
 
-#: Target number of materialised (query, member) pairs per sweep chunk
-#: (bounds peak memory of the pair lists).
+#: Most (query, member) pairs a sweep materialises at once, and most
+#: running values a ``sum`` quadrant tree may hold: bounds peak memory of
+#: both frame-bound paths (see :func:`_frame_bounds`).
 _PAIR_BUDGET = 4_000_000
 
 
@@ -113,9 +124,9 @@ def window_stage(
     convert back (the only case a mid-plan stage touches the row-major
     layout).
 
-    With ``workers > 1`` the sweep shards — across certain ``PARTITION BY``
-    groups when there are enough of them, by query chunks inside one sweep
-    otherwise — and runs the shards on a forked worker pool, bit-identical
+    With ``workers > 1`` the sweep shards across certain ``PARTITION BY``
+    groups when there are enough of them (otherwise only its position-bound
+    sort shards) and runs the shards on a forked worker pool, bit-identical
     to the serial sweep (see :mod:`repro.columnar.parallel`).  Fallback
     kinds (uncertain partition keys, NaN, non-sweepable frames) always run
     the unsharded Python backend.
@@ -145,9 +156,7 @@ def window_columnar(
     if kind != "sweep":
         rows = source if source is not None else columnar.to_relation()
         return _fallback_rows(rows, spec, kind)
-    return _partitioned_sweep(columnar, spec, groups, workers=workers).to_relation(
-        workers=workers
-    )
+    return _partitioned_sweep(columnar, spec, groups, workers=workers).to_relation()
 
 
 def _classify(
@@ -244,7 +253,7 @@ def _partitioned_sweep(
     With ``workers > 1`` and enough partitions, the per-partition sweeps run
     as morsels on the forked worker pool (partials concatenate in group
     order, which is the serial emission order); with few partitions each
-    sweep instead parallelises internally over its query chunks.  Partition
+    sweep runs in turn, sharding only its position-bound sort.  Partition
     groups come only from :func:`_certain_partition_groups`, so an uncertain
     partition key can never be sharded — ``_classify`` already returned the
     unsharded ``"native"`` fallback for it.  ``strict_tiebreak`` passes
@@ -344,15 +353,8 @@ def _sweep_stage(
     order — windows close in ``(pos_ub, pos_lb, ranked sequence)`` order,
     where the ranked sequence is the order the native sort's output dict
     would enumerate the duplicates in — so the result is the columnar twin
-    of the Python backend's insertion-ordered output.
-
-    With ``workers > 1`` the query chunks (and the pair-counting pass that
-    sizes them) run as morsels on the forked worker pool, each writing its
-    ``[start, stop)`` block of the bound arrays into shared memory.  Chunk
-    contents depend only on the chunk's own queries and the globally shared
-    index, and the bound reductions are order-independent (exact integer
-    arithmetic in float64 — the ``_classify`` gates), so chunk boundaries
-    cannot change the result.
+    of the Python backend's insertion-ordered output.  ``workers`` only
+    reaches the position-bound sort; the frame bounds run serially.
     """
     n = len(columnar)
     if n == 0:
@@ -393,84 +395,11 @@ def _sweep_stage(
         spec.function, val_sg[row], pos_sg, dup_sg, frame_size
     )
 
-    # Frame membership as a position-sorted searchsorted sweep: the index
-    # answers "which duplicates possibly fall into d's frame" with range
-    # queries per interval-width bucket, so cost scales with the number of
-    # *actual* member pairs instead of the full query x candidate grid.
-    fval_lb = d_val_lb.astype(np.float64)
-    fval_ub = d_val_ub.astype(np.float64)
-    index = FrameMemberIndex(pos_lb, pos_ub, preceding)
-    parallel = workers > 1 and m > 1
-    if m * m <= _PAIR_BUDGET:
-        # Even the full pair grid fits the budget: no counting pass needed.
-        # The parallel path still cuts query-range morsels so small inputs
-        # genuinely exercise the sharded sweep (and the property suite can
-        # pin it against the single-chunk result).
-        chunks = shard_ranges(m, morsel_count(workers)) if parallel else [(0, m)]
-    else:
-        counts = _pair_count_pass(index, pos_lb, pos_ub, workers if parallel else 1)
-        chunks = list(_query_chunks(counts, _PAIR_BUDGET))
-
-    def chunk_bounds(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        block = slice(start, stop)
-        nq = stop - start
-        query, member = index.member_pairs(pos_lb[block], pos_ub[block])
-        # Exclude the defining duplicate itself, then split members into the
-        # certain set (position interval contained in the positions the
-        # window certainly covers, Fig. 6) and the merely possible rest.
-        keep = member != query + start
-        query, member = query[keep], member[keep]
-        cert = (
-            dup_cert[member]
-            & (pos_lb[member] >= pos_ub[block][query] - preceding)
-            & (pos_ub[member] <= pos_lb[block][query])
-        )
-        q_cert, e_cert = query[cert], member[cert]
-        q_poss, e_poss = query[~cert], member[~cert]
-
-        if spec.function == "sum":
-            return _sum_bounds_chunk(
-                q_cert, e_cert, q_poss, e_poss, fval_lb, fval_ub,
-                self_lb=fval_lb[block], self_ub=fval_ub[block],
-                frame_size=frame_size,
-                certain_window_size=1 + np.minimum(preceding, pos_lb[block]),
-                nq=nq,
-            )
-        if spec.function == "count":
-            return _count_bounds_chunk(
-                q_cert, q_poss,
-                frame_size=frame_size,
-                certain_window_size=1 + np.minimum(preceding, pos_lb[block]),
-                nq=nq,
-            )
-        if spec.function in ("min", "max"):
-            return _extrema_bounds_chunk(
-                q_cert, e_cert, query, member, fval_lb, fval_ub,
-                self_lb=fval_lb[block], self_ub=fval_ub[block],
-                maximum=spec.function == "max",
-            )
-        # avg: envelope of the member values (Algorithm 4's delegation)
-        b_lb = fval_lb[block].copy()
-        np.minimum.at(b_lb, query, fval_lb[member])
-        b_ub = fval_ub[block].copy()
-        np.maximum.at(b_ub, query, fval_ub[member])
-        return b_lb, b_ub
-
-    if parallel and len(chunks) > 1:
-        # Workers fill their blocks of the shared bound buffers in place;
-        # only a per-chunk acknowledgement crosses the result queue.
-        w_lb, w_ub = shared_arrays((m, np.float64), (m, np.float64))
-
-        def run_chunk(chunk: tuple[int, int]) -> None:
-            start, stop = chunk
-            w_lb[start:stop], w_ub[start:stop] = chunk_bounds(start, stop)
-
-        parallel_map(run_chunk, chunks, workers=workers)
-    else:
-        w_lb = np.empty(m, dtype=np.float64)
-        w_ub = np.empty(m, dtype=np.float64)
-        for start, stop in chunks:
-            w_lb[start:stop], w_ub[start:stop] = chunk_bounds(start, stop)
+    w_lb, w_ub = _frame_bounds(
+        spec.function, pos_lb, pos_ub, dup_cert,
+        d_val_lb.astype(np.float64), d_val_ub.astype(np.float64),
+        preceding=preceding, frame_size=frame_size,
+    )
 
     # Integer aggregation columns produce integer bounds on the Python
     # backend (sum/min/max/count of ints, and avg's member-value extrema);
@@ -576,26 +505,247 @@ def _selected_guess_aggregates(
     return agg
 
 
-def _pair_count_pass(
-    index: FrameMemberIndex, pos_lb: np.ndarray, pos_ub: np.ndarray, workers: int
-) -> np.ndarray:
-    """The chunk-sizing pair-count pass, sharded over query ranges.
+def _frame_bounds(
+    function: str,
+    pos_lb: np.ndarray,
+    pos_ub: np.ndarray,
+    dup_cert: np.ndarray,
+    val_lb: np.ndarray,
+    val_ub: np.ndarray,
+    *,
+    preceding: int,
+    frame_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-duplicate aggregate bounds, from member pairs or the quadrant tree.
 
-    Each query's count depends only on the query itself and the shared
-    index, so range shards writing disjoint blocks of a shared buffer
-    reproduce the serial pass exactly.
+    Sweeps whose pair grid ``m * m``, or else whose exact pair count, fits
+    ``_PAIR_BUDGET`` materialise their (query, member) pairs in one chunk;
+    on the smallest sweeps (window partitions of a few dozen rows) that
+    beats building the tree.  Larger ones answer from
+    :class:`FrameQuadrantTree` without enumerating the pairs, except ``sum``
+    frames whose tree would itself hold more than ``_PAIR_BUDGET`` cells,
+    which stream the pairs in chunks.
     """
-    if workers <= 1:
-        return index.pair_counts(pos_lb, pos_ub)
     m = len(pos_lb)
-    (counts,) = shared_arrays((m, np.int64))
+    index = FrameMemberIndex(pos_lb, pos_ub, preceding)
+    args = (function, pos_lb, pos_ub, dup_cert, val_lb, val_ub, preceding, frame_size)
+    if m * m <= _PAIR_BUDGET:
+        # Even the full pair grid fits the budget: no counting pass needed.
+        return _pair_bounds(index, [(0, m)], *args)
+    counts = index.pair_counts(pos_lb, pos_ub)
+    if int(counts.sum()) <= _PAIR_BUDGET:
+        return _pair_bounds(index, [(0, m)], *args)
+    if function == "sum" and not _tree_fits(m, min(frame_size, m)):
+        return _pair_bounds(index, _query_chunks(counts, _PAIR_BUDGET), *args)
+    return _tree_bounds(counts, *args)
 
-    def count_block(block: tuple[int, int]) -> None:
-        start, stop = block
-        counts[start:stop] = index.pair_counts(pos_lb[start:stop], pos_ub[start:stop])
 
-    parallel_map(count_block, shard_ranges(m, morsel_count(workers)), workers=workers)
-    return counts
+def _tree_fits(m: int, k: int) -> bool:
+    """Whether a quadrant tree over ``m`` duplicates keeping ``k`` running
+    values per entry holds at most ``_PAIR_BUDGET`` cells."""
+    levels, size = FrameQuadrantTree.shape(m)
+    return levels * size * k <= _PAIR_BUDGET
+
+
+def _pair_bounds(
+    index, chunks, function, pos_lb, pos_ub, dup_cert, val_lb, val_ub, preceding, frame_size
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds reduced from the materialised (query, member) pairs, chunk by chunk.
+
+    The differential cross-check of :func:`_tree_bounds`; each chunk's
+    result depends only on its own queries.
+    """
+    m = len(pos_lb)
+    w_lb = np.empty(m, dtype=np.float64)
+    w_ub = np.empty(m, dtype=np.float64)
+    for start, stop in chunks:
+        block = slice(start, stop)
+        nq = stop - start
+        query, member = index.member_pairs(pos_lb[block], pos_ub[block])
+        # Exclude the defining duplicate itself, then split members into the
+        # certain set (position interval contained in the positions the
+        # window certainly covers, Fig. 6) and the merely possible rest.
+        keep = member != query + start
+        query, member = query[keep], member[keep]
+        cert = (
+            dup_cert[member]
+            & (pos_lb[member] >= pos_ub[block][query] - preceding)
+            & (pos_ub[member] <= pos_lb[block][query])
+        )
+        q_cert, e_cert = query[cert], member[cert]
+        q_poss, e_poss = query[~cert], member[~cert]
+        certain_window_size = 1 + np.minimum(preceding, pos_lb[block])
+
+        if function == "sum":
+            bounds = _sum_bounds_chunk(
+                q_cert, e_cert, q_poss, e_poss, val_lb, val_ub,
+                self_lb=val_lb[block], self_ub=val_ub[block],
+                frame_size=frame_size,
+                certain_window_size=certain_window_size,
+                nq=nq,
+            )
+        elif function == "count":
+            bounds = _count_bounds(
+                1 + np.bincount(q_cert, minlength=nq), np.bincount(q_poss, minlength=nq),
+                frame_size=frame_size, certain_window_size=certain_window_size,
+            )
+        elif function in ("min", "max"):
+            bounds = _extrema_bounds_chunk(
+                q_cert, e_cert, query, member, val_lb, val_ub,
+                self_lb=val_lb[block], self_ub=val_ub[block],
+                maximum=function == "max",
+            )
+        else:
+            # avg: envelope of the member values (Algorithm 4's delegation)
+            b_lb = val_lb[block].copy()
+            np.minimum.at(b_lb, query, val_lb[member])
+            b_ub = val_ub[block].copy()
+            np.maximum.at(b_ub, query, val_ub[member])
+            bounds = b_lb, b_ub
+        w_lb[block], w_ub[block] = bounds
+    return w_lb, w_ub
+
+
+def _tree_bounds(
+    counts, function, pos_lb, pos_ub, dup_cert, val_lb, val_ub, preceding, frame_size
+) -> tuple[np.ndarray, np.ndarray]:
+    """The same bounds as :func:`_pair_bounds` without enumerating possible members.
+
+    ``counts`` are the exact per-duplicate quadrant sizes (self included),
+    so ``count`` needs no tree at all.  The extrema are quadrant minima
+    (values negated for maxima) — the quadrant holds the defining duplicate
+    itself, which the pair path seeds its reductions with.  Certain members
+    still come as pairs (:func:`_certain_pairs`; there are few), and ``sum``
+    picks its min-k / max-k possible contributions from the quadrant's
+    ``frame_size`` smallest values after removing the excluded ones
+    (:func:`_possible_smallest_sums`).
+    """
+    m = len(pos_lb)
+    q_cert, e_cert = _certain_pairs(pos_lb, pos_ub, dup_cert, preceding, counts)
+    used = 1 + np.bincount(q_cert, minlength=m)
+    certain_window_size = 1 + np.minimum(preceding, pos_lb)
+    if function == "count":
+        return _count_bounds(
+            used, counts - used, frame_size=frame_size, certain_window_size=certain_window_size
+        )
+
+    tree = FrameQuadrantTree(pos_lb, pos_ub, preceding)
+    hits = tree.locate(pos_lb, pos_ub)
+    if function == "max":
+        lb = val_lb.copy()
+        np.maximum.at(lb, q_cert, val_lb[e_cert])
+        return lb, -tree.smallest(-val_ub, 1, hits)[:, 0]
+    if function == "min":
+        ub = val_ub.copy()
+        np.minimum.at(ub, q_cert, val_ub[e_cert])
+        return tree.smallest(val_lb, 1, hits)[:, 0], ub
+    if function == "avg":
+        return tree.smallest(val_lb, 1, hits)[:, 0], -tree.smallest(-val_ub, 1, hits)[:, 0]
+
+    lb = val_lb + _grouped_sums(q_cert, val_lb[e_cert], m)
+    ub = val_ub + _grouped_sums(q_cert, val_ub[e_cert], m)
+    if frame_size > 1 and m > 1:  # otherwise no possible-only member exists
+        slots = np.maximum(0, frame_size - used)
+        required = np.clip(np.minimum(certain_window_size, frame_size) - used, 0, slots)
+        k = min(frame_size, m)
+        pick = (q_cert, e_cert, slots, required, counts - used)
+        lb = lb + _possible_smallest_sums(tree.smallest(val_lb, k, hits), val_lb, *pick)
+        ub = ub - _possible_smallest_sums(tree.smallest(-val_ub, k, hits), -val_ub, *pick)
+    return lb, ub
+
+
+def _certain_pairs(
+    pos_lb: np.ndarray,
+    pos_ub: np.ndarray,
+    dup_cert: np.ndarray,
+    preceding: int,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(query, member)`` pairs of certain frame members, self excluded.
+
+    Containment (Fig. 6) forces both intervals to be at most ``preceding``
+    wide, so only narrow certain members of narrow queries are enumerated,
+    in chunks sized by the queries' full pair ``counts`` (an upper bound),
+    and each pair is re-checked exactly.
+    """
+    narrow = pos_ub - pos_lb <= preceding
+    queries = np.flatnonzero(narrow)
+    members = np.flatnonzero(narrow & dup_cert)
+    q_parts = [np.empty(0, dtype=np.int64)]
+    e_parts = [np.empty(0, dtype=np.int64)]
+    if len(queries) and len(members):
+        index = FrameMemberIndex(pos_lb[members], pos_ub[members], preceding)
+        for start, stop in _query_chunks(counts[queries], _PAIR_BUDGET):
+            block = queries[start:stop]
+            query, member = index.member_pairs(pos_lb[block], pos_ub[block])
+            query, member = block[query], members[member]
+            keep = (
+                (member != query)
+                & (pos_lb[member] >= pos_ub[query] - preceding)
+                & (pos_ub[member] <= pos_lb[query])
+            )
+            q_parts.append(query[keep])
+            e_parts.append(member[keep])
+    return np.concatenate(q_parts), np.concatenate(e_parts)
+
+
+def _possible_smallest_sums(
+    smallest: np.ndarray,
+    values: np.ndarray,
+    q_cert: np.ndarray,
+    e_cert: np.ndarray,
+    slots: np.ndarray,
+    required: np.ndarray,
+    possible: np.ndarray,
+) -> np.ndarray:
+    """Per query: the sum of its ``taken`` smallest possible-only member values.
+
+    ``smallest`` holds each quadrant's ``k`` smallest values (``k`` =
+    ``frame_size``, or ``m`` if smaller).  The possible-only members are the
+    quadrant minus the query itself minus its certain members; removing one
+    occurrence of each excluded value from the list leaves a prefix of the
+    possible members' sorted values (only the multiset matters, so ties are
+    harmless) at least ``slots`` long whenever ``slots > 0`` — and only then
+    is anything taken.  ``taken`` is :func:`_sum_bounds_chunk`'s
+    ``min(slots, max(required, negative))``, where counting the negatives
+    among the first ``slots`` values is enough.  Every sum adds at most
+    ``frame_size`` integers, exact in float64 (the ``_classify`` gate).
+    """
+    total = np.zeros(len(slots), dtype=np.float64)
+    rows = np.flatnonzero(slots > 0)
+    if len(rows) == 0:
+        return total
+    kept = smallest[rows]
+    local = np.full(len(slots), -1, dtype=np.int64)
+    local[rows] = np.arange(len(rows), dtype=np.int64)
+    # Excluded values per row: the query's own, then its certain members'.
+    sel = local[q_cert] >= 0
+    q = np.concatenate([local[rows], local[q_cert[sel]]])
+    excluded = np.concatenate([values[rows], values[e_cert[sel]]])
+    order = np.argsort(q, kind="stable")
+    q, excluded = q[order], excluded[order]
+    rank = np.arange(len(q)) - np.searchsorted(q, q, side="left")
+    for layer in range(int(rank.max()) + 1):  # one excluded value per row per pass
+        at = rank == layer
+        _remove_one(kept, q[at], excluded[at])
+    column = np.arange(kept.shape[1])
+    room = slots[rows]
+    negative = ((kept < 0) & (column < room[:, None])).sum(axis=1)
+    taken = np.minimum(room, np.maximum(required[rows], negative))
+    need = np.minimum(taken, possible[rows])
+    total[rows] = np.where(column < need[:, None], kept, 0.0).sum(axis=1)
+    return total
+
+
+def _remove_one(kept: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """Drop one occurrence of ``values[i]`` from ascending row ``kept[rows[i]]``
+    (if present), keeping the row ascending with ``+inf`` filling the tail."""
+    sub = kept[rows]
+    at = (sub < values[:, None]).sum(axis=1)
+    hit = np.flatnonzero(at < sub.shape[1])
+    hit = hit[sub[hit, at[hit]] == values[hit]]
+    sub[hit, at[hit]] = np.inf
+    kept[rows] = np.sort(sub, axis=1)
 
 
 def _query_chunks(pair_counts: np.ndarray, budget: int):
@@ -668,7 +818,7 @@ def _grouped_sums(groups: np.ndarray, values: np.ndarray, nq: int) -> np.ndarray
 
 
 #: Above this per-query selection size the k-pass sweep degrades to the
-#: sorted-prefix evaluation (each pass retires one distinct value per group).
+#: sorted selection (each pass retires one distinct value per group).
 _SELECTION_PASS_LIMIT = 8
 
 
@@ -685,8 +835,8 @@ def _grouped_smallest_prefix_sums(
     also keeps every partial sum a true window sum (at most ``frame_size``
     addends, covered by the ``2**53`` exactness gate) instead of a prefix
     over the whole pair list.  Selections larger than
-    ``_SELECTION_PASS_LIMIT`` (huge frames) fall back to one sorted-prefix
-    evaluation.  Groups with ``taken == 0`` contribute nothing and are
+    ``_SELECTION_PASS_LIMIT`` (huge frames) fall back to one sorted
+    selection.  Groups with ``taken == 0`` contribute nothing and are
     dropped up front.
     """
     total = np.zeros(nq, dtype=np.float64)
@@ -698,7 +848,7 @@ def _grouped_smallest_prefix_sums(
         values = values[active]
     need = np.minimum(taken, np.bincount(groups, minlength=nq))
     if int(need.max()) > _SELECTION_PASS_LIMIT:
-        return _grouped_sorted_prefix_sums(groups, values, need, nq)
+        return _grouped_sorted_smallest_sums(groups, values, need, nq)
     while len(groups):
         floor = np.full(nq, np.inf)
         np.minimum.at(floor, groups, values)
@@ -712,30 +862,32 @@ def _grouped_smallest_prefix_sums(
     return total
 
 
-def _grouped_sorted_prefix_sums(
+def _grouped_sorted_smallest_sums(
     groups: np.ndarray, values: np.ndarray, take: np.ndarray, nq: int
 ) -> np.ndarray:
-    """Sorted-prefix selection for large ``take`` (one lexsort, grouped prefix sums)."""
+    """Sorted selection for large ``take``: one lexsort, then each group sums
+    only its own ``take`` smallest values.  (A prefix sum over the whole
+    sorted pair list passes ``2**53`` long before any window sum does, and
+    its differences then lose the low bits.)"""
     order = lexsort_stable((values, groups))
     sorted_groups = groups[order]
-    prefix = np.concatenate([[0.0], np.cumsum(values[order])])
-    group_ids = np.arange(nq, dtype=np.int64)
-    starts = np.searchsorted(sorted_groups, group_ids, side="left")
-    return prefix[starts + take] - prefix[starts]
+    rank = np.arange(len(order)) - np.searchsorted(sorted_groups, sorted_groups, side="left")
+    keep = rank < take[sorted_groups]
+    return np.bincount(sorted_groups[keep], weights=values[order][keep], minlength=nq)
 
 
-def _count_bounds_chunk(
-    q_cert: np.ndarray,
-    q_poss: np.ndarray,
+def _count_bounds(
+    used: np.ndarray,
+    possible: np.ndarray,
     *,
     frame_size: int,
     certain_window_size: np.ndarray,
-    nq: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    used = 1 + np.bincount(q_cert, minlength=nq)
+    """count bounds from each frame's certain (self included) and
+    possible-only member counts."""
     lb = np.maximum(used, np.minimum(certain_window_size, frame_size))
     lb = np.minimum(lb, frame_size)
-    ub = np.minimum(frame_size, used + np.bincount(q_poss, minlength=nq))
+    ub = np.minimum(frame_size, used + possible)
     ub = np.maximum(ub, lb)
     return lb, ub
 

@@ -450,9 +450,7 @@ def _join_columnar(args, workers, *, method):
 
     left, right = args
     workers = resolve_workers(workers)
-    return col_ops.join(left, right, on=["k"], method=method, workers=workers).to_relation(
-        workers=workers
-    )
+    return col_ops.join(left, right, on=["k"], method=method, workers=workers).to_relation()
 
 
 def _factjoin_python(args, workers):

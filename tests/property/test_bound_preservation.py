@@ -2,10 +2,12 @@
 
 For randomly generated small incomplete relations, the AU-DB sort and window
 operators (both the definitional/rewrite and the native sweep
-implementations) must bound the deterministic result of **every** possible
-world.  The bounding oracle is the exact tuple-matching check of
-:mod:`repro.core.bounding`.
+implementations, plus the columnar window on its quadrant-tree path) must
+bound the deterministic result of **every** possible world.  The bounding
+oracle is the exact tuple-matching check of :mod:`repro.core.bounding`.
 """
+
+import importlib.util
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from repro.window.native import window_native
 from repro.window.semantics import window_rewrite
 from repro.window.spec import WindowSpec
 from tests.property.strategies import uncertain_relations
+from tests.property.tree_path import on_the_tree_path
 
 RELATIONS = uncertain_relations(attributes=("a", "b"), max_tuples=4, max_alternatives=2)
 
@@ -45,6 +48,16 @@ def test_sort_bound_preservation(relation, descending):
             assert bounds_world(result, det), f"{name} sort violates Theorem 1"
 
 
+def _columnar_tree_window(audb, spec) -> dict:
+    """The columnar backend with every sweep on its quadrant tree (the
+    path large inputs take; these small ones would otherwise enumerate
+    member pairs), keyed for the results map; empty without NumPy."""
+    if importlib.util.find_spec("numpy") is None:
+        return {}
+    with on_the_tree_path():
+        return {"columnar tree": window_native(audb, spec, backend="columnar")}
+
+
 @SETTINGS
 @given(
     relation=RELATIONS,
@@ -64,6 +77,7 @@ def test_window_bound_preservation_preceding(relation, function, preceding):
     results = {
         "native": window_native(audb, spec),
         "rewrite": window_rewrite(audb, spec),
+        **_columnar_tree_window(audb, spec),
     }
     for world, _probability in relation.iter_worlds(limit=512):
         det = window_aggregate(
@@ -89,6 +103,7 @@ def test_window_bound_preservation_following(relation, following):
     results = {
         "native": window_native(audb, spec),
         "rewrite": window_rewrite(audb, spec),
+        **_columnar_tree_window(audb, spec),
     }
     for world, _probability in relation.iter_worlds(limit=512):
         det = window_aggregate(

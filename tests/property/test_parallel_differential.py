@@ -1,11 +1,13 @@
 """Differential properties: sharded (``workers > 1``) vs unsharded execution.
 
 The partitioned parallel executor (:mod:`repro.columnar.parallel`) must be
-*invisible* in every output: for each sharded stage class — sort / top-k,
-window, equi- and theta-joins, grouped aggregation, and the ``.to_rows()``
-plan boundary — running at ``workers > 1`` must be **bit-identical** to the
-serial ``workers=1`` path on arbitrary AU-relations, *including the
-first-occurrence row order* (downstream ``<ᵗᵒᵗᵃˡ_O`` tiebreakers read it).
+*invisible* in every output: for each sharded stage class — sort / top-k
+(and the window's position-bound sort), per-partition windows, equi- and
+theta-joins, and grouped aggregation — running at ``workers > 1`` must be
+**bit-identical** to the serial ``workers=1`` path on arbitrary
+AU-relations, *including the first-occurrence row order* (downstream
+``<ᵗᵒᵗᵃˡ_O`` tiebreakers read it).  The ``.to_rows()`` plan boundary is
+serial at every worker count; its property pins that it forks nothing.
 The properties below pin that contract, plus the edge cases a sharded
 executor typically fumbles:
 
@@ -193,8 +195,20 @@ def test_groupby_sharded_matches_serial(relation):
 @SETTINGS
 @given(relation=au_relations(max_tuples=10))
 def test_to_rows_boundary_sharded_matches_serial(relation):
+    """The ``.to_rows()`` boundary stays serial at any worker count: it
+    forks no pool (forked row blocks measured slower than the serial loop)
+    and returns exactly the serial result."""
+    from unittest import mock
+
+    from repro.columnar import factorised, parallel
+
     serial = ColumnarPlan(relation, workers=1).to_rows()
-    sharded = ColumnarPlan(relation, workers=2).to_rows()
+    plan = ColumnarPlan(relation, workers=2)
+    forked = AssertionError("the .to_rows() boundary forked a pool")
+    with mock.patch.object(parallel, "parallel_map", side_effect=forked), mock.patch.object(
+        factorised, "parallel_map", side_effect=forked
+    ):
+        sharded = plan.to_rows()
     assert_bit_identical(serial, sharded)
 
 

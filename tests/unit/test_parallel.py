@@ -16,7 +16,6 @@ import os
 import pytest
 
 pytest.importorskip("numpy", reason="the parallel executor backs the columnar kernels")
-import numpy as np
 
 from repro.columnar.parallel import (
     MORSELS_PER_WORKER,
@@ -26,7 +25,6 @@ from repro.columnar.parallel import (
     parallel_map,
     resolve_workers,
     shard_ranges,
-    shared_arrays,
 )
 from repro.errors import ParallelError, ReproError
 
@@ -212,32 +210,16 @@ class TestParallelMap:
         with pytest.raises(Exception, match="[Pp]ickle"):
             parallel_map(lambda task: lambda: task, [0, 1], workers=2)
 
-
-class TestSharedArrays:
-    def test_specs_become_writable_typed_arrays(self):
-        float_buf, int_buf = shared_arrays((5, np.float64), (3, np.int64))
-        assert float_buf.shape == (5,) and float_buf.dtype == np.float64
-        assert int_buf.shape == (3,) and int_buf.dtype == np.int64
-        float_buf[:] = 1.5
-        int_buf[:] = -2
-        assert float_buf.tolist() == [1.5] * 5
-        assert int_buf.tolist() == [-2] * 3
-
-    def test_zero_length_spec_is_allowed(self):
-        (empty,) = shared_arrays((0, np.float64))
-        assert empty.shape == (0,)
-
     @needs_fork
-    def test_worker_writes_are_visible_to_the_parent(self):
-        """The anonymous mapping is MAP_SHARED: forked workers fill the
-        parent's array in place (no result-queue round trip)."""
-        (buffer,) = shared_arrays((6, np.int64))
-        buffer[:] = -1
+    def test_no_queue_feeder_thread_outlives_the_pool(self):
+        """Each pool joins its task queue's feeder thread before returning,
+        so no later fork can inherit a feeder (and a lock it may hold)."""
+        import threading
 
-        def fill(block):
-            start, stop = block
-            buffer[start:stop] = np.arange(start, stop) * 10
-            return None
-
-        parallel_map(fill, shard_ranges(6, 3), workers=2)
-        assert buffer.tolist() == [0, 10, 20, 30, 40, 50]
+        for _ in range(3):
+            assert parallel_map(lambda task: task + 1, [0, 1, 2, 3], workers=2) == [1, 2, 3, 4]
+            feeders = [
+                thread.name for thread in threading.enumerate()
+                if thread.name.startswith("QueueFeederThread")
+            ]
+            assert feeders == []
